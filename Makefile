@@ -1,4 +1,4 @@
-.PHONY: build test lint verify bench bench-pinned smoke-live serve
+.PHONY: build test lint verify bench bench-pinned bench-repo smoke-live serve
 
 build:
 	go build ./...
@@ -28,6 +28,16 @@ bench:
 # README.md). Compare against a previous PR's file with -baseline-from.
 bench-pinned:
 	go run ./cmd/cholbench -out BENCH_PR10.json -baseline-from BENCH_PR8.json
+
+# Repository benchmark (BENCHMARK.json, perfbench/): one workload, built
+# offline into .bench_build/; the last stdout line is the JSON result.
+#   make bench-repo W=repro SEED=7 SECS=20 TRACE=0
+W ?= repro
+SEED ?= 7
+SECS ?= 20
+TRACE ?= 0
+bench-repo:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECS) --trace $(TRACE)
 
 # Live-observability smoke: cholserved up, one recorded run, SSE frames and
 # phase histograms asserted end to end (also a verify.yml step).

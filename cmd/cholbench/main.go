@@ -21,8 +21,9 @@
 //     re-simulation of a knob sweep versus from-scratch runs — with
 //     bit-identical digests enforced in passing;
 //   - the event-level lane executor (sweep/jitter-lanes/*): a 32-seed
-//     jitter sweep through replay.Lanes versus the PR7 run-level path, with
-//     per-seed digests enforced and the speedup gated at >= 2x.
+//     jitter sweep through replay.Seeds versus a run-level baseline (one
+//     full event loop per seed on pooled arenas), with per-seed digests
+//     enforced and the speedup gated at >= 2x.
 //
 // Usage:
 //
@@ -522,7 +523,7 @@ func main() {
 		}
 		runBatched := func(seeds []int64, opt simulator.Options) []*simulator.Result {
 			rs, err := replay.Seeds(ctx, d, pf,
-				func() sched.Scheduler { return sched.NewDMDAS() }, seeds, opt, 0, rpool)
+				func() sched.Scheduler { return sched.NewDMDAS() }, seeds, opt, 0, rpool, nil)
 			if err != nil {
 				fatal(err)
 			}
@@ -596,13 +597,13 @@ func main() {
 		suite.Add(rJit)
 		progress(rJit)
 
-		// Event-level lane executor (PR10): a jitter sweep where every seed
-		// genuinely simulates. run-level is the PR7 path (one full event loop
-		// per seed, fresh scheduler instances, one generator seeding per
-		// task draw); lanes advances the whole batch through one loop over
-		// SoA lane slabs with algebraic jitter rows and a single shared
-		// scheduler Init. Digest equality is enforced per seed; the speedup
-		// is the gate this PR pins.
+		// Event-level lane executor: a jitter sweep where every seed
+		// genuinely simulates. run-level is the baseline (one full event
+		// loop per seed on pooled arenas, fresh scheduler instances, one
+		// generator seeding per task draw); lanes advances the whole batch
+		// through one loop over SoA lane slabs with algebraic jitter rows
+		// and a single shared scheduler Init. Digest equality is enforced
+		// per seed; the speedup is gated.
 		nLanes := 32
 		if *smoke {
 			nLanes = 8
@@ -612,7 +613,7 @@ func main() {
 		mkLane := func() sched.Scheduler { return sched.NewDMDAS() }
 		var laneRef []*simulator.Result
 		rRunLevel := benchio.Measure(fmt.Sprintf("sweep/jitter-lanes/run-level/n=%d", nLanes), iterBatch, func() {
-			rs, err := replay.RunLevelSeeds(ctx, d, pf, mkLane, laneSeeds, laneOpt, 0, rpool)
+			rs, err := runLevelSeeds(ctx, d, pf, mkLane, laneSeeds, laneOpt, rpool)
 			if err != nil {
 				fatal(err)
 			}
@@ -624,7 +625,7 @@ func main() {
 
 		var gotLanes []*simulator.Result
 		rLanes := benchio.Measure(fmt.Sprintf("sweep/jitter-lanes/lanes/n=%d", nLanes), iterBatch, func() {
-			rs, err := replay.Lanes(ctx, d, pf, mkLane, laneSeeds, laneOpt, 0, rpool)
+			rs, err := replay.Seeds(ctx, d, pf, mkLane, laneSeeds, laneOpt, 0, rpool, nil)
 			if err != nil {
 				fatal(err)
 			}
@@ -747,4 +748,24 @@ func fatal(err error) {
 		cpuProfileStop()
 	}
 	os.Exit(1)
+}
+
+// runLevelSeeds is the run-level baseline the lane executor is gated
+// against: one full event loop per seed over a shared Prep, concurrent
+// across GOMAXPROCS workers on pooled arenas, a fresh scheduler per seed.
+func runLevelSeeds(ctx context.Context, d *graph.DAG, p *platform.Platform, mk func() sched.Scheduler,
+	seeds []int64, opt simulator.Options, pool *replay.Pool) ([]*simulator.Result, error) {
+
+	pp, err := simulator.Prepare(d, p)
+	if err != nil {
+		return nil, err
+	}
+	return sweep.MapContext(ctx, seeds, 0, func(seed int64) (*simulator.Result, error) {
+		o := opt
+		o.Seed = seed
+		a := pool.Get()
+		r, err := pp.Run(ctx, mk(), o, a)
+		pool.Put(a)
+		return r, err
+	})
 }

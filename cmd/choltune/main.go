@@ -36,7 +36,6 @@ func main() {
 		splits   = flag.String("splits", "", "comma-separated F@K mixed-tile specs to sweep at the best uniform nb (e.g. 2@7,2@8; see cholsim -nb-split)")
 		seed     = flag.Int64("seed", 42, "jitter seed")
 		runs     = flag.Int("runs", 1, "jitter seeds per candidate (seed, seed+1, ...); reports mean ± σ")
-		batch    = flag.Bool("batch", true, "run the per-candidate seed replications through the batched replay engine (bit-identical results)")
 		progress = flag.Bool("progress", false, "stream a live sweep-progress ticker to stderr (one tick per evaluated candidate)")
 		cp       = flag.Bool("cp", false, "after the sweep, search a CP static schedule at the best nb to report remaining static headroom")
 		cpBudget = flag.Int("cp-budget", 100000, "CP search node budget")
@@ -78,7 +77,7 @@ func main() {
 	if *progress {
 		probe = obs.NewProbe(1, obs.TickerSink(os.Stderr, "choltune"))
 	}
-	points, err := autotune.SweepSeedsProbed(context.Background(), *n, candidates, p, *refNB, seeds, *batch, probe)
+	points, err := autotune.SweepSeeds(context.Background(), *n, candidates, p, *refNB, seeds, probe)
 	if err != nil {
 		fatal(err)
 	}

@@ -76,25 +76,17 @@ type Point struct {
 // candidate tile size (N must be divisible by each) under dmdas with the
 // runtime-overhead model on, and returns the samples sorted by nb.
 func Sweep(n int, candidates []int, ref *platform.Platform, refNB int, seed int64) ([]Point, error) {
-	return SweepSeeds(context.Background(), n, candidates, ref, refNB, []int64{seed}, false)
+	return SweepSeeds(context.Background(), n, candidates, ref, refNB, []int64{seed}, nil)
 }
 
 // SweepSeeds is Sweep over several jitter seeds: each candidate's GFlops,
-// Makespan and Sigma are the mean ± σ (of GFLOP/s) across the seeds. With
-// batch set, the per-candidate seed replications run through the batched
-// replay engine — shared DAG/platform preparation, pooled arenas, and a
-// single simulation when the seed provably cannot matter — with per-seed
-// Results bit-identical to the serial loop either way.
+// Makespan and Sigma are the mean ± σ (of GFLOP/s) across the seeds. The
+// per-candidate seed replications run through the replay engine, with
+// per-seed Results bit-identical to a serial loop. A non-nil probe gets one
+// sweep frame per evaluated candidate (Done/Total in candidates) plus a
+// Final frame, feeding choltune -progress.
 func SweepSeeds(ctx context.Context, n int, candidates []int, ref *platform.Platform,
-	refNB int, seeds []int64, batch bool) ([]Point, error) {
-	return SweepSeedsProbed(ctx, n, candidates, ref, refNB, seeds, batch, nil)
-}
-
-// SweepSeedsProbed is SweepSeeds with a live progress probe: one sweep
-// frame per evaluated candidate (Done/Total in candidates) plus a Final
-// frame, feeding choltune -progress and the cholserved live stream.
-func SweepSeedsProbed(ctx context.Context, n int, candidates []int, ref *platform.Platform,
-	refNB int, seeds []int64, batch bool, probe *obs.Probe) ([]Point, error) {
+	refNB int, seeds []int64, probe *obs.Probe) ([]Point, error) {
 
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("autotune: no seeds")
@@ -109,24 +101,10 @@ func SweepSeedsProbed(ctx context.Context, n int, candidates []int, ref *platfor
 		p := ScalePlatform(ref, refNB, nb)
 		d := graph.Cholesky(tiles)
 		opt := simulator.Options{Overhead: true}
-		var results []*simulator.Result
-		if batch {
-			rs, err := replay.Seeds(ctx, d, p,
-				func() sched.Scheduler { return sched.NewDMDAS() }, seeds, opt, 0, pool)
-			if err != nil {
-				return nil, fmt.Errorf("autotune nb=%d: %w", nb, err)
-			}
-			results = rs
-		} else {
-			for _, seed := range seeds {
-				o := opt
-				o.Seed = seed
-				r, err := simulator.RunContext(ctx, d, p, sched.NewDMDAS(), o)
-				if err != nil {
-					return nil, fmt.Errorf("autotune nb=%d: %w", nb, err)
-				}
-				results = append(results, r)
-			}
+		results, err := replay.Seeds(ctx, d, p,
+			func() sched.Scheduler { return sched.NewDMDAS() }, seeds, opt, 0, pool, nil)
+		if err != nil {
+			return nil, fmt.Errorf("autotune nb=%d: %w", nb, err)
 		}
 		gf := make([]float64, len(results))
 		ms := make([]float64, len(results))

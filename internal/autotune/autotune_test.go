@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/platform"
+	"repro/internal/sched"
+	"repro/internal/simulator"
+	"repro/internal/stats"
 )
 
 func TestEfficiencyShape(t *testing.T) {
@@ -149,29 +153,39 @@ func TestDivisors(t *testing.T) {
 	}
 }
 
-// TestSweepSeedsBatchMatchesSerial: the batched replay path is a pure
-// throughput knob — every sample (mean, σ, makespan) must equal the serial
-// per-seed loop bit for bit.
-func TestSweepSeedsBatchMatchesSerial(t *testing.T) {
+// TestSweepSeedsMatchesSerialLoop: the replay-engine sweep is bit-identical
+// to evaluating each candidate with a per-seed simulator.RunContext loop —
+// every sample's mean, σ and makespan, bit for bit.
+func TestSweepSeedsMatchesSerialLoop(t *testing.T) {
+	const n = 3840
+	ctx := context.Background()
 	seeds := []int64{1, 2, 3, 4, 5}
 	cands := []int{480, 960, 1920}
-	serial, err := SweepSeeds(context.Background(), 3840, cands, platform.Mirage(), platform.TileNB, seeds, false)
+	got, err := SweepSeeds(ctx, n, cands, platform.Mirage(), platform.TileNB, seeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := SweepSeeds(context.Background(), 3840, cands, platform.Mirage(), platform.TileNB, seeds, true)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(cands) {
+		t.Fatalf("%d points for %d candidates", len(got), len(cands))
 	}
-	if len(serial) != len(batched) {
-		t.Fatalf("serial %d points, batched %d", len(serial), len(batched))
-	}
-	for i := range serial {
-		if serial[i] != batched[i] {
-			t.Errorf("point %d: serial %+v, batched %+v", i, serial[i], batched[i])
+	for i, nb := range cands {
+		p := ScalePlatform(platform.Mirage(), platform.TileNB, nb)
+		d := graph.Cholesky(n / nb)
+		var gf, ms []float64
+		for _, seed := range seeds {
+			r, err := simulator.RunContext(ctx, d, p, sched.NewDMDAS(), simulator.Options{Seed: seed, Overhead: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gf = append(gf, platform.GFlops(kernels.CholeskyFlops(n), r.MakespanSec))
+			ms = append(ms, r.MakespanSec)
+		}
+		want := Point{NB: nb, Tiles: n / nb, GFlops: stats.Mean(gf), Sigma: stats.StdDev(gf), Makespan: stats.Mean(ms)}
+		if got[i] != want {
+			t.Errorf("point %d: sweep %+v, serial loop %+v", i, got[i], want)
 		}
 	}
-	if _, err := SweepSeeds(context.Background(), 3840, cands, platform.Mirage(), platform.TileNB, nil, true); err == nil {
+	if _, err := SweepSeeds(ctx, n, cands, platform.Mirage(), platform.TileNB, nil, nil); err == nil {
 		t.Fatal("empty seed list must error")
 	}
 }

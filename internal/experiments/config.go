@@ -49,15 +49,9 @@ type Config struct {
 	RealWorkers int
 	// Seed is the base RNG seed.
 	Seed int64
-	// Batch routes the repeated-seed simulations through internal/replay's
-	// batched engine (shared preparation, arena reuse, seed deduplication).
-	// Results are bit-identical to the serial loop — the equivalence suite
-	// in internal/replay enforces it — so this is purely a throughput knob.
-	Batch bool
 	// Probe, when non-nil, receives live batch-progress frames from the
-	// repeated-seed replications (replay.SeedsProbed): completed jobs,
-	// dedup hits. Nil costs nothing. Only the batched path emits — the
-	// serial loop predates the probe plumbing and stays untouched.
+	// repeated-seed replications (replay.Seeds): completed jobs, dedup hits,
+	// lane merges. Nil costs nothing.
 	Probe *obs.Probe
 }
 
@@ -85,7 +79,6 @@ func Default() Config {
 		RealNB:      64,
 		RealWorkers: 0, // GOMAXPROCS
 		Seed:        42,
-		Batch:       true,
 	}
 }
 
@@ -101,6 +94,5 @@ func Quick() Config {
 		RealNB:      32,
 		RealWorkers: 4,
 		Seed:        42,
-		Batch:       true,
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sched"
 	"repro/internal/simulator"
-	"repro/internal/stats"
 )
 
 func quickCfg() Config { return Quick() }
@@ -754,38 +753,5 @@ func TestSimulationFidelityRuns(t *testing.T) {
 		if ratio < 0.05 || ratio > 20 {
 			t.Fatalf("fidelity ratio %g out of envelope", ratio)
 		}
-	}
-}
-
-// TestBatchMatchesSerialExperiments: cfg.Batch is a throughput knob only —
-// the jitter-averaged studies (Fig6's overhead substitute, the
-// work-stealing ablation) must render identical tables with the batched
-// replay engine on or off, down to the last digit of every mean and σ.
-func TestBatchMatchesSerialExperiments(t *testing.T) {
-	for _, run := range []struct {
-		name string
-		fn   func(Config) (*stats.Table, error)
-	}{
-		{"fig6", Fig6},
-		{"workstealing", WorkStealing},
-	} {
-		t.Run(run.name, func(t *testing.T) {
-			serialCfg := quickCfg()
-			serialCfg.Batch = false
-			serial, err := run.fn(serialCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batchCfg := quickCfg()
-			batchCfg.Batch = true
-			batched, err := run.fn(batchCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Render() != batched.Render() {
-				t.Errorf("batched table differs from serial:\n--- serial ---\n%s\n--- batched ---\n%s",
-					serial.Render(), batched.Render())
-			}
-		})
 	}
 }

@@ -28,7 +28,8 @@ func simGFlops(ctx context.Context, d *graph.DAG, p *platform.Platform, s sched.
 }
 
 // repeated runs fn for cfg.Runs seeds and reports mean and σ — the paper's
-// "average and standard deviation of 10 runs".
+// "average and standard deviation of 10 runs". Simulations use repeatedSim;
+// this loop serves wall-clock measurements of real execution.
 func repeated(cfg Config, fn func(seed int64) (float64, error)) (mean, sigma float64, err error) {
 	var vals []float64
 	for r := 0; r < cfg.Runs; r++ {
@@ -45,25 +46,19 @@ func repeated(cfg Config, fn func(seed int64) (float64, error)) (mean, sigma flo
 }
 
 // repeatedSim is repeated specialized to simulations of one (DAG, platform,
-// scheduler) configuration over cfg.Runs consecutive seeds. With cfg.Batch
-// set the seeds go through the batched replay engine — shared preparation,
-// pooled arenas, and a single simulation when the seed provably cannot
-// matter — with bit-identical per-seed Results either way.
+// scheduler) configuration over cfg.Runs consecutive seeds: the seeds go
+// through the replay engine — shared preparation, the lane executor, and a
+// single simulation when the seed provably cannot matter — with per-seed
+// Results bit-identical to a serial loop. mk must return a fresh instance
+// per call.
 func repeatedSim(cfg Config, d *graph.DAG, p *platform.Platform,
 	mk func() sched.Scheduler, opt simulator.Options) (mean, sigma float64, err error) {
 
-	if !cfg.Batch {
-		return repeated(cfg, func(seed int64) (float64, error) {
-			o := opt
-			o.Seed = seed
-			return simGFlops(cfg.Ctx(), d, p, mk(), cfg.NB, o)
-		})
-	}
 	seeds := make([]int64, cfg.Runs)
 	for r := range seeds {
 		seeds[r] = cfg.Seed + int64(r)
 	}
-	rs, err := replay.SeedsProbed(cfg.Ctx(), d, p, mk, seeds, opt, 0, nil, cfg.Probe)
+	rs, err := replay.Seeds(cfg.Ctx(), d, p, mk, seeds, opt, 0, nil, cfg.Probe)
 	if err != nil {
 		return 0, 0, fmt.Errorf("experiments: %w", err)
 	}

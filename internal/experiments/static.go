@@ -53,18 +53,15 @@ func BestTriangleK(cfg Config, n int, p *platform.Platform, overhead bool) (int,
 		}
 	}
 	d := graph.Cholesky(n)
-	eval := func(s sched.Scheduler) (float64, error) {
+	eval := func(mk func() sched.Scheduler) (float64, error) {
 		if overhead {
-			g, _, err := repeated(cfg, func(seed int64) (float64, error) {
-				return simGFlops(cfg.Ctx(), d, p, s, cfg.NB,
-					simulator.Options{Seed: seed, Overhead: true})
-			})
+			g, _, err := repeatedSim(cfg, d, p, mk, simulator.Options{Overhead: true})
 			return g, err
 		}
-		return simGFlops(cfg.Ctx(), d, p, s, cfg.NB, simulator.Options{Seed: cfg.Seed})
+		return simGFlops(cfg.Ctx(), d, p, mk(), cfg.NB, simulator.Options{Seed: cfg.Seed})
 	}
 	bestK, bestG := 0, math.Inf(-1)
-	if g, err := eval(sched.NewDMDAS()); err != nil {
+	if g, err := eval(func() sched.Scheduler { return sched.NewDMDAS() }); err != nil {
 		return 0, 0, err
 	} else {
 		bestG = g
@@ -73,7 +70,7 @@ func BestTriangleK(cfg Config, n int, p *platform.Platform, overhead bool) (int,
 		if k < 1 || k >= n {
 			continue
 		}
-		g, err := eval(sched.NewTriangleTRSM(k))
+		g, err := eval(func() sched.Scheduler { return sched.NewTriangleTRSM(k) })
 		if err != nil {
 			return 0, 0, err
 		}

@@ -20,7 +20,6 @@ const (
 	SourceCPSolve  = "cpsolve"
 	SourceReplay   = "replay"
 	SourceSweep    = "sweep"
-	SourceLanes    = "lanes"
 )
 
 // Frame is one in-run progress snapshot emitted through a Probe. Done/Total
@@ -48,14 +47,7 @@ type Frame struct {
 	DedupHits    int64 `json:"dedup_hits,omitempty"`    // jobs satisfied by seed-invariance cloning
 	DeltaResume  int64 `json:"delta_resume,omitempty"`  // delta re-simulations resumed from a checkpoint
 	DeltaScratch int64 `json:"delta_scratch,omitempty"` // delta re-simulations that fell back to scratch
-
-	// Lane executor (Source == SourceLanes): per-lane frames from the
-	// event-level batched advance. Lane is the finishing lane's position in
-	// its batch (seed order), LiveLanes the count still advancing after it,
-	// LaneMerges the mid-run re-merges so far across the batch.
-	Lane       int   `json:"lane,omitempty"`
-	LiveLanes  int   `json:"live_lanes,omitempty"`
-	LaneMerges int64 `json:"lane_merges,omitempty"`
+	LaneMerges   int64 `json:"lane_merges,omitempty"`   // lanes re-merged mid-run by the lane executor
 }
 
 // Clone returns a deep copy. Emitters may alias live arrays (BusySec points

@@ -75,13 +75,6 @@ func (r *FrameRing) Close() {
 	}
 }
 
-// Closed reports whether the ring has been closed.
-func (r *FrameRing) Closed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
-
 // Len returns the number of retained frames.
 func (r *FrameRing) Len() int {
 	r.mu.Lock()

@@ -34,10 +34,6 @@ type Knob struct {
 // SeedKnob is the Options.Seed-only change.
 func SeedKnob() Knob { return Knob{SeedOnly: true} }
 
-// ParamKnob is a scheduler-parameter change whose blast radius is the tasks
-// affected reports true for.
-func ParamKnob(affected func(t *graph.Task) bool) Knob { return Knob{Affected: affected} }
-
 // FullKnob is a change with no exploitable structure (nb, platform, DAG):
 // Delta runs the variant from scratch (still sharing the base's Prep).
 func FullKnob() Knob { return Knob{} }
@@ -46,7 +42,7 @@ func FullKnob() Knob { return Knob{} }
 // (Donfack-style split-point tuning): those tasks become ready late, so the
 // shared prefix is long and the delta suffix short.
 func PanelKnob(k0 int) Knob {
-	return ParamKnob(func(t *graph.Task) bool { return t.K >= k0 })
+	return Knob{Affected: func(t *graph.Task) bool { return t.K >= k0 }}
 }
 
 // TrsmKnob bounds the registered trsm-cpu:k hint family: sweeping the
@@ -57,7 +53,7 @@ func TrsmKnob(k1, k2 int) Knob {
 	if k2 < k {
 		k = k2
 	}
-	return ParamKnob(func(t *graph.Task) bool { return t.Kind == graph.TRSM && t.I-t.K >= k })
+	return Knob{Affected: func(t *graph.Task) bool { return t.Kind == graph.TRSM && t.I-t.K >= k }}
 }
 
 // Base is a recorded reference run delta queries resume from.

@@ -116,7 +116,7 @@ func TestBatchedSeedsBitIdentical(t *testing.T) {
 							}
 							want[i] = replay.Digest(r)
 						}
-						got, err := replay.Seeds(context.Background(), d, p, mk, seeds, ov.opt, 4, nil)
+						got, err := replay.Seeds(context.Background(), d, p, mk, seeds, ov.opt, 4, nil, nil)
 						if err != nil {
 							t.Fatalf("batched: %v", err)
 						}
@@ -163,7 +163,7 @@ func TestRunMixedBatchBitIdentical(t *testing.T) {
 		}
 	}
 	pool := &replay.Pool{}
-	got, err := replay.Run(context.Background(), jobs, 4, pool)
+	got, err := replay.Run(context.Background(), jobs, 4, pool, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestSeedDedupClonesAreIndependent(t *testing.T) {
 	d, p := graph.Cholesky(5), platform.Mirage()
 	rs, err := replay.Seeds(context.Background(), d, p,
 		func() sched.Scheduler { return sched.NewDMDAS() },
-		[]int64{1, 2, 3}, simulator.Options{}, 2, nil)
+		[]int64{1, 2, 3}, simulator.Options{}, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestBatchOfOneTakesSerialPath(t *testing.T) {
 	}
 	rs, err := replay.Seeds(context.Background(), d, p,
 		func() sched.Scheduler { return sched.NewDMDAS() },
-		[]int64{7}, opt, 4, nil)
+		[]int64{7}, opt, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestBatchOfOneTakesSerialPath(t *testing.T) {
 	})
 	batchAllocs := testing.AllocsPerRun(5, func() {
 		if _, err := replay.Seeds(ctx, d, p, func() sched.Scheduler { return sched.NewDMDAS() },
-			[]int64{7}, opt, 4, nil); err != nil {
+			[]int64{7}, opt, 4, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -250,21 +250,21 @@ func TestPreCancelledBatchLeavesPoolReusable(t *testing.T) {
 
 	// Warm the pool with completed runs, then poison-attempt with a
 	// cancelled context.
-	if _, err := replay.Seeds(context.Background(), d, p, mkRandom, seeds, simulator.Options{}, 2, pool); err != nil {
+	if _, err := replay.Seeds(context.Background(), d, p, mkRandom, seeds, simulator.Options{}, 2, pool, nil); err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := replay.Seeds(cancelled, d, p, mkRandom, seeds, simulator.Options{}, 2, pool); err == nil {
+	if _, err := replay.Seeds(cancelled, d, p, mkRandom, seeds, simulator.Options{}, 2, pool, nil); err == nil {
 		t.Fatal("pre-cancelled batch succeeded")
 	}
 	// Mid-run cancellation leaves arenas in a half-simulated state; those
 	// must reset cleanly too.
 	midCtx, midCancel := context.WithCancel(context.Background())
 	midCancel()
-	_, _ = replay.Seeds(midCtx, d, p, mk, seeds, simulator.Options{Overhead: true}, 2, pool)
+	_, _ = replay.Seeds(midCtx, d, p, mk, seeds, simulator.Options{Overhead: true}, 2, pool, nil)
 
-	got, err := replay.Seeds(context.Background(), d, p, mkRandom, seeds, simulator.Options{}, 2, pool)
+	got, err := replay.Seeds(context.Background(), d, p, mkRandom, seeds, simulator.Options{}, 2, pool, nil)
 	if err != nil {
 		t.Fatalf("post-cancel batch: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestRecorderJobsNeverDedup(t *testing.T) {
 			Sched: func() sched.Scheduler { return sched.NewDMDAS() },
 			Opt:   simulator.Options{Seed: int64(i + 1), Recorder: recs[i]}}
 	}
-	rs, err := replay.Run(context.Background(), jobs, 2, nil)
+	rs, err := replay.Run(context.Background(), jobs, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Lane executor: event-level batched multi-seed replay.
 //
-// PR7's run-level batching dispatches one full event loop per genuinely
-// distinct seed — exactly N loops for an N-seed jitter sweep, because jitter
-// makes every seed distinct. The lane executor batches *inside* the loop:
-// one simulator.Prep drives W seed-lanes whose mutable state lives in
+// Run hands every group of two or more jobs of one configuration (same
+// Prep, scheduler name and options modulo seed) to this executor. Instead
+// of one full event loop per seed it batches *inside* the loop: one
+// simulator.Prep drives W seed-lanes whose mutable state lives in
 // lane-major structure-of-arrays slabs (simulator.LaneBatch), a shared
 // scheduler instance is Init'ed once for the whole batch when the proven
 // SeedInvariant+PureAssign contracts allow (sched.Shareable), and each
@@ -12,8 +12,9 @@
 // run. The driver advances all live lanes in lockstep, one completion event
 // per lane per sweep: one event loop advances the whole seed batch.
 //
-// On top of the batched advance, PR7's whole-run seed-invariance dedup is
-// extended to mid-run granularity:
+// On top of the batched advance, the whole-run seed-invariance dedup (equal
+// jitter rows, or none, under a seed-invariant scheduler: one run plus
+// clones) is extended to mid-run granularity:
 //
 //   - merge: at sparse event-count boundaries, live lanes with equal full
 //     state digests (simulator.LaneRun.StateDigest) and bit-identical
@@ -38,15 +39,15 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/simulator"
 	"repro/internal/sweep"
 )
 
-// LaneOptions tunes the lane executor. The zero value picks defaults.
-type LaneOptions struct {
+// laneOptions tunes the lane executor. The zero value picks defaults; the
+// other settings exist for white-box tests.
+type laneOptions struct {
 	// SnapStride is the completion-event interval between representative
 	// snapshots during a lazy-split pre-pass; 0 picks ~8 per run.
 	SnapStride int
@@ -61,14 +62,12 @@ type LaneOptions struct {
 	NoResume bool
 }
 
-// LaneStats reports which lane mechanisms fired for one batch.
-type LaneStats struct {
-	Lanes      int  // lanes entering the executor (one per seed)
-	Simulated  int  // lanes that ran a full simulation from the start
-	Cloned     int  // lanes answered up front with a clone of an identical lane
-	Resumed    int  // lanes lazily split: resumed from a representative snapshot
-	Merged     int  // lanes that re-merged onto a representative mid-run
-	SharedInit bool // one scheduler instance served the whole batch
+// laneStats reports which lane mechanisms fired for one batch.
+type laneStats struct {
+	Simulated int // lanes that ran a full simulation from the start
+	Cloned    int // lanes answered up front with a clone of an identical lane
+	Resumed   int // lanes lazily split: resumed from a representative snapshot
+	Merged    int // lanes that re-merged onto a representative mid-run
 }
 
 // laneSpec is one lane's inputs: its seed, its scheduler factory and, when
@@ -77,79 +76,6 @@ type laneSpec struct {
 	seed int64
 	mk   func() sched.Scheduler
 	row  []float64
-}
-
-// Lanes runs one configuration across the seeds through the lane executor
-// and returns per-seed Results in seed order, each bit-identical to serial
-// simulation. It is the event-level counterpart of Seeds: use it when every
-// seed genuinely simulates (the jitter-lane regime); Seeds' run-level path
-// already collapses the degenerate cases.
-func Lanes(ctx context.Context, d *graph.DAG, p *platform.Platform, mk func() sched.Scheduler, seeds []int64, opt simulator.Options, workers int, pool *Pool) ([]*simulator.Result, error) {
-	res, _, err := LanesProbed(ctx, d, p, mk, seeds, opt, workers, pool, nil, LaneOptions{})
-	return res, err
-}
-
-// RunLevelSeeds is the PR7-style run-level batch: one full event loop per
-// seed, concurrent lanes over pooled arenas, fresh scheduler instances. It
-// stays exported as the measured baseline the lane executor is gated
-// against (cholbench sweep/jitter-lanes/*) and as the fallback for options
-// the event-level batch does not compose with (per-run Recorder/Probe).
-func RunLevelSeeds(ctx context.Context, d *graph.DAG, p *platform.Platform, mk func() sched.Scheduler, seeds []int64, opt simulator.Options, workers int, pool *Pool) ([]*simulator.Result, error) {
-	pp, err := simulator.Prepare(d, p)
-	if err != nil {
-		return nil, err
-	}
-	if pool == nil {
-		pool = &Pool{}
-	}
-	return sweep.MapContext(ctx, seeds, workers, func(seed int64) (*simulator.Result, error) {
-		o := opt
-		o.Seed = seed
-		a := pool.Get()
-		r, runErr := pp.Run(ctx, mk(), o, a)
-		pool.Put(a)
-		return r, runErr
-	})
-}
-
-// LanesProbed is Lanes with a progress probe (per-lane SourceLanes frames)
-// and explicit options, also reporting which mechanisms fired.
-func LanesProbed(ctx context.Context, d *graph.DAG, p *platform.Platform, mk func() sched.Scheduler, seeds []int64, opt simulator.Options, workers int, pool *Pool, probe *obs.Probe, lo LaneOptions) ([]*simulator.Result, *LaneStats, error) {
-	if len(seeds) == 0 {
-		return nil, &LaneStats{}, nil
-	}
-	if opt.Recorder != nil || opt.Probe != nil {
-		// Per-run recording/probing needs every seed on its own serial run.
-		res, err := RunLevelSeeds(ctx, d, p, mk, seeds, opt, workers, pool)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, &LaneStats{Lanes: len(seeds), Simulated: len(seeds)}, nil
-	}
-	pp, err := simulator.Prepare(d, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pool == nil {
-		pool = &Pool{}
-	}
-	specs := make([]laneSpec, len(seeds))
-	for i, s := range seeds {
-		specs[i] = laneSpec{seed: s, mk: mk}
-	}
-	fillJitterRows(pp, p, opt, specs)
-	stats := &LaneStats{}
-	res, err := runLanes(ctx, pp, opt, specs, workers, pool, lo, probe, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	if probe != nil {
-		probe.Emit(obs.Frame{
-			Source: obs.SourceLanes, Done: int64(len(seeds)), Total: int64(len(seeds)),
-			Final: true, LaneMerges: int64(stats.Merged), DedupHits: int64(stats.Cloned),
-		})
-	}
-	return res, stats, nil
 }
 
 // fillJitterRows precomputes each spec's per-task jitter draw row when the
@@ -187,51 +113,15 @@ func rowsEqual(a, b []float64) bool {
 	return true
 }
 
-// laneProgress serializes per-lane probe emissions for one batch.
-type laneProgress struct {
-	mu     sync.Mutex
-	probe  *obs.Probe
-	done   int64
-	total  int64
-	merges int64
-}
-
-// laneFinished reports one more finished lane; emits a SourceLanes frame at
-// the probe's cadence.
-func (p *laneProgress) laneFinished(lane, liveInShard int) {
-	if p == nil || p.probe == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done++
-	if p.probe.Due(p.done) {
-		p.probe.Emit(obs.Frame{
-			Source: obs.SourceLanes, Done: p.done, Total: p.total,
-			Lane: lane, LiveLanes: liveInShard, LaneMerges: p.merges,
-		})
-	}
-	p.mu.Unlock()
-}
-
-func (p *laneProgress) addMerges(n int) {
-	if p == nil || p.probe == nil {
-		return
-	}
-	p.mu.Lock()
-	p.merges += int64(n)
-	p.mu.Unlock()
-}
-
 // runLanes is the executor core over a shared Prep: group provably identical
 // lanes, shard the representatives across workers, advance each shard's
-// lanes through one lockstep event loop, then materialize clones.
-func runLanes(ctx context.Context, pp *simulator.Prep, opt simulator.Options, specs []laneSpec, workers int, pool *Pool, lo LaneOptions, probe *obs.Probe, stats *LaneStats) ([]*simulator.Result, error) {
+// lanes through one lockstep event loop, then materialize clones. Finished
+// lanes, up-front clones and mid-run merges are reported to prog (nil-safe).
+func runLanes(ctx context.Context, pp *simulator.Prep, opt simulator.Options, specs []laneSpec, workers int, pool *Pool, lo laneOptions, prog *progress, stats *laneStats) ([]*simulator.Result, error) {
 	n := len(specs)
-	stats.Lanes = n
 	s0 := specs[0].mk()
 	seedInv := sched.IsSeedInvariant(s0)
 	share := sched.Shareable(s0)
-	stats.SharedInit = share
 
 	// Group lanes whose runs provably cannot differ: seed invariance makes
 	// the Init seed immaterial, so equal jitter rows (or no jitter at all)
@@ -269,6 +159,7 @@ func runLanes(ctx context.Context, pp *simulator.Prep, opt simulator.Options, sp
 		}
 	}
 	stats.Cloned = n - len(reps)
+	prog.add(0, stats.Cloned, 0)
 
 	// One scheduler instance for the whole batch when the contracts allow:
 	// Init once (bottom levels and priority tables computed once, not per
@@ -291,13 +182,12 @@ func runLanes(ctx context.Context, pp *simulator.Prep, opt simulator.Options, sp
 		shards[k%nShards] = append(shards[k%nShards], gi)
 	}
 
-	prog := &laneProgress{probe: probe, total: int64(n)}
 	results := make([]*simulator.Result, n)
 	var statsMu sync.Mutex
 	// Each shard writes disjoint results slots; MapContext supplies the
 	// goroutines, ordering and first-error semantics.
 	_, err := sweep.MapContext(ctx, shards, nShards, func(shard []int) (struct{}, error) {
-		local := LaneStats{}
+		local := laneStats{}
 		err := runLaneShard(ctx, pp, opt, specs, shard, share, sharedS, lo, pool, results, &local, prog)
 		statsMu.Lock()
 		stats.Simulated += local.Simulated
@@ -359,7 +249,7 @@ func anyRootAgreement(d *graph.DAG, base []float64, specs []laneSpec, shard []in
 // runLaneShard advances one shard's lanes: an optional lazy-split pre-pass
 // (representative with snapshots, followers resumed at their divergence
 // points), then the lockstep loop with mid-run merge checks.
-func runLaneShard(ctx context.Context, pp *simulator.Prep, opt simulator.Options, specs []laneSpec, shard []int, share bool, sharedS sched.Scheduler, lo LaneOptions, pool *Pool, results []*simulator.Result, stats *LaneStats, prog *laneProgress) error {
+func runLaneShard(ctx context.Context, pp *simulator.Prep, opt simulator.Options, specs []laneSpec, shard []int, share bool, sharedS sched.Scheduler, lo laneOptions, pool *Pool, results []*simulator.Result, stats *laneStats, prog *progress) error {
 	nTasks := len(pp.DAG().Tasks)
 	lb := pool.GetBatch()
 	defer pool.PutBatch(lb)
@@ -403,7 +293,7 @@ func runLaneShard(ctx context.Context, pp *simulator.Prep, opt simulator.Options
 		if !resumed[li] {
 			stats.Simulated++
 		}
-		prog.laneFinished(shard[li], liveCount)
+		prog.add(1, 0, 0)
 		return nil
 	}
 
@@ -503,10 +393,7 @@ func runLaneShard(ctx context.Context, pp *simulator.Prep, opt simulator.Options
 			if len(mergedNow) > 0 {
 				liveCount -= len(mergedNow)
 				stats.Merged += len(mergedNow)
-				prog.addMerges(len(mergedNow))
-				for _, li := range mergedNow {
-					prog.laneFinished(shard[li], liveCount)
-				}
+				prog.add(len(mergedNow), 0, len(mergedNow))
 			}
 		}
 	}

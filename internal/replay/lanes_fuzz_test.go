@@ -62,7 +62,7 @@ func FuzzLanes(f *testing.F) {
 		ctx := context.Background()
 		workers := 1 + int(platU%3)
 
-		got, err := Lanes(ctx, d, pf, mk, seeds, opt, workers, nil)
+		got, err := Seeds(ctx, d, pf, mk, seeds, opt, workers, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func FuzzLanes(f *testing.F) {
 				copy(rows[i][:div], rows[0][:div])
 			}
 		}
-		lo := LaneOptions{
+		lo := laneOptions{
 			SnapStride:  1 + int(pU%7),
 			MergeStride: 1 + int(nSeedsU%9),
 			ForceSplit:  divU&1 == 0,
@@ -111,13 +111,13 @@ func FuzzLanes(f *testing.F) {
 		for i := range specs {
 			specs[i] = laneSpec{seed: seedBase + int64(i), mk: mk, row: rows[i]}
 		}
-		batched, err := runLanes(ctx, pp, opt, specs, workers, &Pool{}, lo, nil, &LaneStats{})
+		batched, err := runLanes(ctx, pp, opt, specs, workers, &Pool{}, lo, nil, &laneStats{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range specs {
 			solo := []laneSpec{{seed: specs[i].seed, mk: mk, row: rows[i]}}
-			want, err := runLanes(ctx, pp, opt, solo, 1, &Pool{}, LaneOptions{}, nil, &LaneStats{})
+			want, err := runLanes(ctx, pp, opt, solo, 1, &Pool{}, laneOptions{}, nil, &laneStats{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/replay"
 	"repro/internal/sched"
@@ -34,7 +33,7 @@ func TestLanesBitIdentical(t *testing.T) {
 	platforms := []string{"mirage", "mirage-nocomm", "mirage-extended", "homogeneous:8", "related:10"}
 	// dmdas: SeedInvariant+PureAssign (shared instance, merge, resume);
 	// dmdar: seed-invariant but impure Assign (fresh instances, no merge);
-	// random: neither (no grouping at all, the PR7 conservatism);
+	// random: neither (no grouping: a fresh instance per lane);
 	// greedy: shareable with a trivial priority model.
 	schedulers := []string{"dmdas", "dmdar", "random", "greedy"}
 	seeds := laneSeeds()
@@ -66,7 +65,7 @@ func TestLanesBitIdentical(t *testing.T) {
 						}
 						want[i] = replay.Digest(r)
 					}
-					got, err := replay.Lanes(context.Background(), d, p, mk, seeds, opt, workers, nil)
+					got, err := replay.Seeds(context.Background(), d, p, mk, seeds, opt, workers, nil, nil)
 					if err != nil {
 						t.Fatalf("lanes: %v", err)
 					}
@@ -84,111 +83,6 @@ func TestLanesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLanesForceSplitMerges pins the mid-run merge machinery: with grouping
-// disabled, provably identical lanes (jitter off, seed-invariant scheduler)
-// must re-merge at the first digest boundary instead of simulating N times,
-// and every Result must still match serial.
-func TestLanesForceSplitMerges(t *testing.T) {
-	d, p := graph.Cholesky(6), platform.Mirage()
-	mk := func() sched.Scheduler { return sched.NewDMDAS() }
-	seeds := laneSeeds()
-	lo := replay.LaneOptions{ForceSplit: true, MergeStride: 8}
-	got, stats, err := replay.LanesProbed(context.Background(), d, p, mk, seeds, simulator.Options{}, 1, nil, nil, lo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := simulator.Run(d, p, mk(), simulator.Options{Seed: seeds[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range got {
-		if replay.Digest(r) != replay.Digest(want) {
-			t.Errorf("seed %d: merged lane digest differs from serial", seeds[i])
-		}
-	}
-	if stats.Merged == 0 {
-		t.Fatalf("identical force-split lanes never merged: %+v", stats)
-	}
-	if stats.Merged != len(seeds)-stats.Simulated-stats.Resumed {
-		t.Errorf("merge accounting off: %+v", stats)
-	}
-}
-
-// TestLanesMergedResultsIndependent: mid-run merged lanes are answered with
-// clones — mutating one must not leak into its representative.
-func TestLanesMergedResultsIndependent(t *testing.T) {
-	d, p := graph.Cholesky(5), platform.Mirage()
-	mk := func() sched.Scheduler { return sched.NewDMDAS() }
-	lo := replay.LaneOptions{ForceSplit: true, MergeStride: 4}
-	got, stats, err := replay.LanesProbed(context.Background(), d, p, mk, []int64{1, 2, 3}, simulator.Options{}, 1, nil, nil, lo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Merged == 0 {
-		t.Skipf("no merge fired at stride 4: %+v", stats)
-	}
-	got[2].MakespanSec = -1
-	got[2].Start[0] = -1
-	if replay.Digest(got[0]) != replay.Digest(got[1]) {
-		t.Fatal("mutating a merged lane's Result leaked into another lane")
-	}
-}
-
-// TestLanesProbeFrames checks the per-lane telemetry: a fine-cadence probe
-// on a jitter batch sees SourceLanes frames whose Done is monotone and whose
-// final frame covers the whole batch.
-func TestLanesProbeFrames(t *testing.T) {
-	d, p := graph.Cholesky(6), platform.Mirage()
-	mk := func() sched.Scheduler { return sched.NewDMDAS() }
-	seeds := laneSeeds()
-	var frames []obs.Frame
-	probe := obs.NewProbe(1, func(f obs.Frame) { frames = append(frames, f.Clone()) })
-	_, stats, err := replay.LanesProbed(context.Background(), d, p, mk, seeds, simulator.Options{Overhead: true}, 1, nil, probe, replay.LaneOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Simulated == 0 {
-		t.Fatalf("jitter batch simulated nothing: %+v", stats)
-	}
-	if len(frames) == 0 {
-		t.Fatal("no lane frames emitted")
-	}
-	var prev int64 = -1
-	for _, f := range frames {
-		if f.Source != obs.SourceLanes {
-			t.Fatalf("frame source %q, want %q", f.Source, obs.SourceLanes)
-		}
-		if f.Done < prev {
-			t.Fatalf("lane frame Done went backwards: %d after %d", f.Done, prev)
-		}
-		prev = f.Done
-	}
-	last := frames[len(frames)-1]
-	if !last.Final || last.Done != int64(len(seeds)) || last.Total != int64(len(seeds)) {
-		t.Fatalf("final frame %+v, want Final with Done=Total=%d", last, len(seeds))
-	}
-}
-
-// TestLanesRecorderFallsBackToRunLevel: a per-run Recorder forces the
-// run-level path (each seed must genuinely simulate and record its own
-// events), reported as Lanes==Simulated with no lane mechanisms fired.
-func TestLanesRecorderFallsBackToRunLevel(t *testing.T) {
-	d, p := graph.Cholesky(5), platform.Mirage()
-	mk := func() sched.Scheduler { return sched.NewDMDAS() }
-	rec := obs.NewRecorder()
-	opt := simulator.Options{Recorder: rec}
-	got, stats, err := replay.LanesProbed(context.Background(), d, p, mk, []int64{1}, opt, 1, nil, nil, replay.LaneOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || stats.Simulated != 1 || stats.Merged+stats.Resumed+stats.Cloned != 0 {
-		t.Fatalf("recorder batch took the lane path: %+v", stats)
-	}
-	if len(rec.Decisions) != len(d.Tasks) {
-		t.Fatalf("recorder captured %d decisions, want %d", len(rec.Decisions), len(d.Tasks))
-	}
-}
-
 // TestLanesCancellation: a cancelled context aborts the batch with an error
 // and leaves the pool reusable for a subsequent bit-identical batch.
 func TestLanesCancellation(t *testing.T) {
@@ -198,10 +92,10 @@ func TestLanesCancellation(t *testing.T) {
 	pool := &replay.Pool{}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := replay.Lanes(cancelled, d, p, mk, seeds, simulator.Options{Overhead: true}, 2, pool); err == nil {
+	if _, err := replay.Seeds(cancelled, d, p, mk, seeds, simulator.Options{Overhead: true}, 2, pool, nil); err == nil {
 		t.Fatal("pre-cancelled lane batch succeeded")
 	}
-	got, err := replay.Lanes(context.Background(), d, p, mk, seeds, simulator.Options{Overhead: true}, 2, pool)
+	got, err := replay.Seeds(context.Background(), d, p, mk, seeds, simulator.Options{Overhead: true}, 2, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,14 @@
 // (the equivalence suite in this package digests every path against
 // simulator.RunContext):
 //
-//   - batched multi-seed replay: jobs sharing a (DAG, platform) share one
-//     simulator.Prep — the DAG census, dependency counts and cost tables are
-//     derived once per pair instead of once per run. When the scheduler
-//     declares seed invariance and the jitter model is off, all seeds of one
-//     configuration collapse to a single simulation whose Result is cloned
-//     per seed (the decisions genuinely cannot differ);
+//   - batched multi-seed replay (Run, Seeds): jobs sharing a (DAG, platform)
+//     share one simulator.Prep — the DAG census, dependency counts and cost
+//     tables are derived once per pair instead of once per run — and jobs
+//     of one configuration advance together through the lane executor
+//     (lanes.go). When the scheduler declares seed invariance and the
+//     jitter model is off, all seeds of one configuration collapse to a
+//     single simulation whose Result is cloned per seed (the decisions
+//     genuinely cannot differ);
 //   - delta replay (delta.go): sweep jobs differing in one knob resume from
 //     a checkpoint of the base run just before the first decision the knob
 //     can affect, resimulating only the suffix;
@@ -181,223 +183,130 @@ func jitterActive(p *platform.Platform, opt simulator.Options) bool {
 	return opt.Overhead && p.Overhead.JitterFrac != 0
 }
 
-type laneKey struct {
-	pp       *simulator.Prep
-	sched    string
-	overhead bool
-	stealing bool
+// unit is one planned piece of a batch: the job indices one pp.Run (a
+// single) or one lane-executor call (a group of two or more) answers.
+type unit struct {
+	pp   *simulator.Prep
+	jobs []int
 }
 
-// Run executes the jobs with up to `workers` concurrent lanes and returns
-// their Results in job order, each bit-identical to what
-// simulator.RunContext would produce for that job. Jobs sharing a
-// (DAG, platform) pair (by pointer) share one preparation; jobs that can
-// provably not differ — same prep, same scheduler name, same options modulo
-// a seed the run never consumes — run once and are answered with clones.
-// A nil pool uses a private one scoped to this call.
-func Run(ctx context.Context, jobs []Job, workers int, pool *Pool) ([]*simulator.Result, error) {
-	return RunProbed(ctx, jobs, workers, pool, nil)
-}
-
-// RunProbed is Run with a batch-level progress probe: frames report
-// completed jobs against the batch size plus the running dedup-hit count.
-// The stream's Done is monotone (emissions serialize on an internal mutex)
-// though the completion *order* of concurrent lanes is scheduling-dependent
-// — batch telemetry reports throughput, not per-run schedules, so this does
-// not weaken the digest contract. Per-job probes (Job.Opt.Probe) force the
-// job onto its own lane, exactly like Job.Opt.Recorder, so every probed job
-// genuinely simulates and emits its own simulator frames.
-//
-// Jitter-active jobs of one configuration (same prep, scheduler name and
-// options modulo seed) are grouped into event-level lane-engine units when
-// two or more are present — see the lane executor in lanes.go.
-func RunProbed(ctx context.Context, jobs []Job, workers int, pool *Pool, probe *obs.Probe) ([]*simulator.Result, error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	if pool == nil {
-		pool = &Pool{}
-	}
+// plan groups the jobs by (Prep, scheduler name, options modulo seed), in
+// first-appearance order. Jobs sharing a (DAG, platform) pair by pointer
+// share one Prep. A job with a Recorder or Probe is always a unit of one:
+// it must genuinely simulate and emit its own events.
+func plan(jobs []Job) ([]unit, error) {
 	type pairKey struct {
 		d *graph.DAG
 		p *platform.Platform
 	}
+	type groupKey struct {
+		pp    *simulator.Prep
+		sched string
+		opt   simulator.Options // Seed zeroed
+	}
 	preps := make(map[pairKey]*simulator.Prep)
-	prepOf := make([]*simulator.Prep, len(jobs))
+	groups := make(map[groupKey]int) // index into units
+	var units []unit
 	for i := range jobs {
-		k := pairKey{jobs[i].D, jobs[i].P}
-		pp, ok := preps[k]
+		j := &jobs[i]
+		pk := pairKey{j.D, j.P}
+		pp, ok := preps[pk]
 		if !ok {
 			var err error
-			pp, err = simulator.Prepare(jobs[i].D, jobs[i].P)
-			if err != nil {
+			if pp, err = simulator.Prepare(j.D, j.P); err != nil {
 				return nil, fmt.Errorf("replay: job %d: %w", i, err)
 			}
-			preps[k] = pp
+			preps[pk] = pp
 		}
-		prepOf[i] = pp
-	}
-	// Lane plan: rep[i] is the index of the job whose simulation answers job
-	// i. A job is its own representative unless an earlier job is provably
-	// seed-equivalent.
-	rep := make([]int, len(jobs))
-	seen := make(map[laneKey]int)
-	var lanes []int
-	for i := range jobs {
-		rep[i] = i
-		opt := jobs[i].Opt
-		if opt.Recorder != nil || opt.Probe != nil || jitterActive(jobs[i].P, opt) {
-			lanes = append(lanes, i)
-			continue
-		}
-		s := jobs[i].Sched()
-		if !sched.IsSeedInvariant(s) {
-			lanes = append(lanes, i)
-			continue
-		}
-		k := laneKey{pp: prepOf[i], sched: s.Name(), overhead: opt.Overhead, stealing: opt.WorkStealing}
-		if first, dup := seen[k]; dup {
-			rep[i] = first
-			continue
-		}
-		seen[k] = i
-		lanes = append(lanes, i)
-	}
-	dedupHits := int64(len(jobs) - len(lanes))
-
-	// Lane-engine grouping: jitter-active jobs of one configuration — same
-	// prep, same scheduler name (under the SeedInvariant identity contract),
-	// same options modulo the seed — differ only in their jitter draws.
-	// Groups of two or more route through the event-level lane executor
-	// (lanes.go) as one engine unit instead of one full event loop per job;
-	// singles and everything else keep the per-job path.
-	laneEligible := func(i int) (laneKey, bool) {
-		opt := jobs[i].Opt
-		if opt.Recorder != nil || opt.Probe != nil || !jitterActive(jobs[i].P, opt) {
-			return laneKey{}, false
-		}
-		s := jobs[i].Sched()
-		if !sched.IsSeedInvariant(s) {
-			return laneKey{}, false
-		}
-		return laneKey{pp: prepOf[i], sched: s.Name(), overhead: opt.Overhead, stealing: opt.WorkStealing}, true
-	}
-	type laneUnit struct {
-		single int   // job index, when group is nil
-		group  []int // job indices of one lane-engine unit, len ≥ 2
-	}
-	byKey := make(map[laneKey][]int)
-	var keyOrder []laneKey
-	for _, i := range lanes {
-		if k, ok := laneEligible(i); ok {
-			if len(byKey[k]) == 0 {
-				keyOrder = append(keyOrder, k)
+		if j.Opt.Recorder == nil && j.Opt.Probe == nil {
+			opt := j.Opt
+			opt.Seed = 0
+			gk := groupKey{pp: pp, sched: j.Sched().Name(), opt: opt}
+			if u, dup := groups[gk]; dup {
+				units[u].jobs = append(units[u].jobs, i)
+				continue
 			}
-			byKey[k] = append(byKey[k], i)
+			groups[gk] = len(units)
 		}
+		units = append(units, unit{pp: pp, jobs: []int{i}})
 	}
-	var units []laneUnit
-	grouped := make(map[int]bool)
-	for _, k := range keyOrder {
-		if g := byKey[k]; len(g) >= 2 {
-			units = append(units, laneUnit{group: g})
-			for _, i := range g {
-				grouped[i] = true
-			}
-		}
-	}
-	for _, i := range lanes {
-		if !grouped[i] {
-			units = append(units, laneUnit{single: i})
-		}
-	}
+	return units, nil
+}
 
-	var progressMu sync.Mutex
-	var laneDone int64
-	jobsDone := func(n int) {
-		if probe == nil {
-			return
-		}
-		progressMu.Lock()
-		laneDone += int64(n)
-		if probe.Due(laneDone) {
-			probe.Emit(obs.Frame{
-				Source:    obs.SourceReplay,
-				Done:      laneDone,
-				Total:     int64(len(jobs)),
-				DedupHits: dedupHits,
-			})
-		}
-		progressMu.Unlock()
+// Run executes the jobs and returns their Results in job order, each
+// bit-identical to what simulator.RunContext would produce for that job.
+// Up to `workers` units run concurrently. A unit of one runs as one pp.Run
+// on a pooled arena; a group of two or more goes to the lane executor
+// (lanes.go), which collapses provably identical seeds to one run plus
+// clones, merges lanes mid-run, and gives a scheduler that is not seed
+// invariant a fresh instance per lane. A nil pool uses a private one scoped
+// to this call.
+//
+// A non-nil probe receives SourceReplay frames: Done counts finished jobs
+// against Total, DedupHits the jobs answered with an up-front clone,
+// LaneMerges the lanes that re-merged mid-run. The stream's Done is
+// monotone (emissions serialize on a mutex) though the completion order of
+// concurrent units is scheduling-dependent; the Final frame carries the
+// batch totals.
+func Run(ctx context.Context, jobs []Job, workers int, pool *Pool, probe *obs.Probe) ([]*simulator.Result, error) {
+	if len(jobs) == 0 {
+		return nil, nil
 	}
+	units, err := plan(jobs)
+	if err != nil {
+		return nil, err
+	}
+	if pool == nil {
+		pool = &Pool{}
+	}
+	prog := &progress{probe: probe, total: int64(len(jobs))}
 	results := make([]*simulator.Result, len(jobs))
 	// Units write disjoint results slots; MapContext supplies ordering and
 	// first-error semantics.
-	_, err := sweep.MapContext(ctx, units, workers, func(u laneUnit) (struct{}, error) {
-		if u.group == nil {
-			i := u.single
+	_, err = sweep.MapContext(ctx, units, workers, func(u unit) (struct{}, error) {
+		if len(u.jobs) == 1 {
+			j := &jobs[u.jobs[0]]
 			a := pool.Get()
-			r, runErr := prepOf[i].Run(ctx, jobs[i].Sched(), jobs[i].Opt, a)
+			r, runErr := u.pp.Run(ctx, j.Sched(), j.Opt, a)
 			pool.Put(a)
 			if runErr != nil {
 				return struct{}{}, runErr
 			}
-			results[i] = r
-			jobsDone(1)
+			results[u.jobs[0]] = r
+			prog.add(1, 0, 0)
 			return struct{}{}, nil
 		}
-		pp := prepOf[u.group[0]]
-		specs := make([]laneSpec, len(u.group))
-		for gi, i := range u.group {
+		j0 := &jobs[u.jobs[0]]
+		specs := make([]laneSpec, len(u.jobs))
+		for gi, i := range u.jobs {
 			specs[gi] = laneSpec{seed: jobs[i].Opt.Seed, mk: jobs[i].Sched}
 		}
-		fillJitterRows(pp, jobs[u.group[0]].P, jobs[u.group[0]].Opt, specs)
-		stats := &LaneStats{}
-		rs, runErr := runLanes(ctx, pp, jobs[u.group[0]].Opt, specs, workers, pool, LaneOptions{}, nil, stats)
+		fillJitterRows(u.pp, j0.P, j0.Opt, specs)
+		rs, runErr := runLanes(ctx, u.pp, j0.Opt, specs, workers, pool, laneOptions{}, prog, &laneStats{})
 		if runErr != nil {
 			return struct{}{}, runErr
 		}
-		for gi, i := range u.group {
+		for gi, i := range u.jobs {
 			results[i] = rs[gi]
 		}
-		jobsDone(len(u.group))
 		return struct{}{}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range jobs {
-		if rep[i] != i {
-			results[i] = results[rep[i]].Clone()
-		}
-	}
-	if probe != nil {
-		// Final frame counts the dedup clones as done: the batch is whole.
-		probe.Emit(obs.Frame{
-			Source:    obs.SourceReplay,
-			Done:      int64(len(jobs)),
-			Total:     int64(len(jobs)),
-			Final:     true,
-			DedupHits: dedupHits,
-		})
-	}
+	prog.finish()
 	return results, nil
 }
 
 // Seeds runs one (DAG, platform, scheduler, options) configuration across
 // the given seeds and returns per-seed Results in seed order, bit-identical
-// to looping simulator.RunContext over the seeds. A single seed takes the
-// serial path directly — no batching machinery, no extra allocations.
-func Seeds(ctx context.Context, d *graph.DAG, p *platform.Platform, mk func() sched.Scheduler, seeds []int64, opt simulator.Options, workers int, pool *Pool) ([]*simulator.Result, error) {
-	return SeedsProbed(ctx, d, p, mk, seeds, opt, workers, pool, nil)
-}
-
-// SeedsProbed is Seeds with a batch-level progress probe (see RunProbed).
-func SeedsProbed(ctx context.Context, d *graph.DAG, p *platform.Platform, mk func() sched.Scheduler, seeds []int64, opt simulator.Options, workers int, pool *Pool, probe *obs.Probe) ([]*simulator.Result, error) {
-	if len(seeds) == 0 {
-		return nil, nil
-	}
+// to looping simulator.RunContext over the seeds. It is Run over one job
+// per seed.
+func Seeds(ctx context.Context, d *graph.DAG, p *platform.Platform, mk func() sched.Scheduler, seeds []int64, opt simulator.Options, workers int, pool *Pool, probe *obs.Probe) ([]*simulator.Result, error) {
 	if len(seeds) == 1 {
+		// A batch of one is the serial path itself: no job slice and no
+		// planning, so it allocates what simulator.RunContext does plus
+		// its result slice.
 		opt.Seed = seeds[0]
 		r, err := simulator.RunContext(ctx, d, p, mk(), opt)
 		if err != nil {
@@ -408,19 +317,56 @@ func SeedsProbed(ctx context.Context, d *graph.DAG, p *platform.Platform, mk fun
 		}
 		return []*simulator.Result{r}, nil
 	}
-	if jitterActive(p, opt) && opt.Recorder == nil && opt.Probe == nil {
-		// The jitter-lane regime: every seed genuinely simulates, so the
-		// event-level lane executor (one loop advancing the whole batch,
-		// algebraic jitter rows, shared scheduler Init) beats one full run
-		// per seed. Identical to it bit for bit — see lanes.go.
-		res, _, err := LanesProbed(ctx, d, p, mk, seeds, opt, workers, pool, probe, LaneOptions{})
-		return res, err
-	}
 	jobs := make([]Job, len(seeds))
 	for i, s := range seeds {
 		o := opt
 		o.Seed = s
 		jobs[i] = Job{D: d, P: p, Sched: mk, Opt: o}
 	}
-	return RunProbed(ctx, jobs, workers, pool, probe)
+	return Run(ctx, jobs, workers, pool, probe)
+}
+
+// progress serializes one batch's probe frames. Dedup clones count as done
+// only at the Final frame, when the batch is whole.
+type progress struct {
+	mu     sync.Mutex
+	probe  *obs.Probe
+	done   int64
+	total  int64
+	dedup  int64
+	merges int64
+}
+
+// add records finished jobs, up-front clones and mid-run merges, emitting a
+// frame at the probe's cadence when jobs finished.
+func (p *progress) add(done, dedup, merges int) {
+	if p == nil || p.probe == nil {
+		return
+	}
+	p.mu.Lock()
+	p.done += int64(done)
+	p.dedup += int64(dedup)
+	p.merges += int64(merges)
+	if done > 0 && p.probe.Due(p.done) {
+		p.probe.Emit(p.frame(false))
+	}
+	p.mu.Unlock()
+}
+
+// finish emits the Final frame: every job done.
+func (p *progress) finish() {
+	if p == nil || p.probe == nil {
+		return
+	}
+	p.mu.Lock()
+	p.done = p.total
+	p.probe.Emit(p.frame(true))
+	p.mu.Unlock()
+}
+
+func (p *progress) frame(final bool) obs.Frame {
+	return obs.Frame{
+		Source: obs.SourceReplay, Done: p.done, Total: p.total, Final: final,
+		DedupHits: p.dedup, LaneMerges: p.merges,
+	}
 }

@@ -48,8 +48,8 @@ func IsPureAssign(s Scheduler) bool {
 // claims are required: SeedInvariant makes the single Init seed immaterial
 // to every lane, and PureAssign guarantees the interleaving leaves no trace
 // — Assign and Priority never write the instance, so each lane observes
-// exactly the scheduler a private instance would have been. replay.Lanes
-// keys batch-wide scheduler sharing (and hence its ECT evaluation over a
+// exactly the scheduler a private instance would have been. The replay lane
+// executor keys batch-wide scheduler sharing (and hence its ECT evaluation over a
 // lane batch through the per-lane sched.View) on this predicate; policies
 // failing it get a fresh instance per lane instead.
 func Shareable(s Scheduler) bool {

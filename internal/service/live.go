@@ -132,10 +132,9 @@ func (s *Server) handleRunLive(w http.ResponseWriter, r *http.Request) {
 		w.Write(appendSSEDone(nil, status))
 		rc.Flush()
 	}
-	if e.Frames.Closed() {
-		finish()
-		return
-	}
+	// No early exit for a closed ring: frames published between Subscribe
+	// and here sit in the live channel, and a ring closed at Subscribe time
+	// hands back a closed channel, so the loop below drains, then finishes.
 
 	heartbeat := time.NewTicker(s.cfg.Heartbeat)
 	defer heartbeat.Stop()

@@ -2,10 +2,12 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -234,6 +236,66 @@ func TestRunLiveFollowsRunInFlight(t *testing.T) {
 	}
 }
 
+// closingWriter is an SSE response recorder that runs onFirstWrite once,
+// from inside the handler's first Write.
+type closingWriter struct {
+	*httptest.ResponseRecorder
+	onFirstWrite func()
+}
+
+func (w *closingWriter) Write(b []byte) (int, error) {
+	if f := w.onFirstWrite; f != nil {
+		w.onFirstWrite = nil
+		f()
+	}
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestRunLiveDrainsRunClosedAfterSubscribe is the drain-race regression: a
+// run that publishes its last frames and closes after the stream subscribed
+// but before the stream's first receive must still deliver every frame,
+// then done. The handler's backlog write is the point between the two, so
+// the writer publishes and completes the run from inside it.
+func TestRunLiveDrainsRunClosedAfterSubscribe(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ring := obs.NewFrameRing(64)
+	id := s.Ledger().Open(&RunEntry{
+		Kind:      KindSimulate,
+		CreatedAt: time.Now(),
+		Request:   SimulateRequest{Platform: "mirage", Scheduler: "dmdas", Tiles: 4},
+		Frames:    ring,
+	})
+	const backlog, total = 30, 50
+	probe := obs.NewProbe(1, ring.Publish)
+	emit := func(from, to int) {
+		for n := from; n <= to; n++ {
+			probe.Emit(obs.Frame{Source: obs.SourceSimulate, Done: int64(n), Total: total, Final: n == total})
+		}
+	}
+	emit(1, backlog)
+	w := &closingWriter{ResponseRecorder: httptest.NewRecorder(), onFirstWrite: func() {
+		emit(backlog+1, total)
+		s.Ledger().Complete(id, nil)
+	}}
+	req := httptest.NewRequest(http.MethodGet, "/v1/runs/"+id+"/live", nil)
+	req.SetPathValue("id", id)
+	s.handleRunLive(w, req)
+
+	stream := readSSE(t, bytes.NewReader(w.Body.Bytes()))
+	frames := frameEvents(t, stream)
+	if len(frames) != total {
+		t.Fatalf("stream carried %d frames, want %d", len(frames), total)
+	}
+	for i, f := range frames {
+		if f.Done != int64(i+1) {
+			t.Fatalf("frame %d has Done %d, want %d", i, f.Done, i+1)
+		}
+	}
+	if term := stream[len(stream)-1]; term.event != "done" || term.data != `{"status":"done"}` {
+		t.Fatalf("terminal event %+v, want done/done", term)
+	}
+}
+
 // TestPhaseHistogramsAndProbeCounters asserts the observability surface on
 // /metrics after one of each job kind: per-phase wall-clock histograms with
 // non-zero counts and the per-source probe frame counters.
@@ -246,7 +308,7 @@ func TestPhaseHistogramsAndProbeCounters(t *testing.T) {
 		Platform: "mirage", Tiles: 4, NodeBudget: 4000,
 	}).Body.Close()
 	postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
-		Platform: "mirage", Schedulers: []string{"dmda", "random"}, Tiles: []int{6}, Batch: true,
+		Platform: "mirage", Schedulers: []string{"dmda", "random"}, Tiles: []int{6},
 	}).Body.Close()
 
 	resp, err := http.Get(ts.URL + "/metrics")

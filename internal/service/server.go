@@ -46,7 +46,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/sched"
 	"repro/internal/simulator"
-	"repro/internal/sweep"
 )
 
 // Config tunes one Server.
@@ -750,11 +749,9 @@ type SweepRequest struct {
 	Tiles      []int    `json:"tiles"`
 	Algorithm  string   `json:"algorithm,omitempty"`
 	Seed       int64    `json:"seed,omitempty"`
-	// Batch routes the sweep's cache misses through the batched replay
-	// engine: cells sharing a tile count share one simulator preparation and
-	// one mixed-bound solve, and per-run simulator state is recycled from a
-	// server-wide arena pool. Cell responses are bit-identical to the
-	// serial path (modulo run_id) — purely a throughput knob.
+	// Batch is accepted for compatibility and ignored: every sweep runs
+	// its cache misses through the batched replay engine. Older clients
+	// send it, and the strict decoder would otherwise reject them.
 	Batch bool `json:"batch,omitempty"`
 }
 
@@ -765,9 +762,9 @@ type SweepResponse struct {
 	Schedulers []string              `json:"schedulers"`
 	Tiles      []int                 `json:"tiles"`
 	Results    [][]*SimulateResponse `json:"results"`
-	// RunID names the batch's own ledger entry (batched sweeps only):
-	// `GET /v1/runs/{id}/live` streams the batch's progress — completed
-	// cells and dedup hits — while the sweep runs.
+	// RunID names the sweep's own ledger entry: `GET /v1/runs/{id}/live`
+	// streams the batch's progress — completed cells and dedup hits — while
+	// the sweep runs.
 	RunID string `json:"run_id,omitempty"`
 }
 
@@ -793,61 +790,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	fp := platformFingerprint(p)
 
-	type cell struct{ ti, si int }
-	var cells []cell
-	for ti := range req.Tiles {
-		for si := range req.Schedulers {
-			cells = append(cells, cell{ti, si})
-		}
-	}
 	ctx := r.Context()
-	// The sweep holds one admission slot and fans its cells out over the
-	// worker budget; each cell goes through the cache and singleflight like
-	// a standalone /v1/simulate.
+	// The sweep holds one admission slot and fans its cache misses out over
+	// the worker budget through the replay engine.
 	var flat []*SimulateResponse
-	var batchRunID string
+	var runID string
 	err = s.pool.Do(ctx, func() error {
 		span := obs.StartSpan(obs.PhaseSweep, s.observePhase)
 		defer span.End()
-		if req.Batch {
-			var berr error
-			flat, batchRunID, berr = s.sweepBatched(ctx, req, p, fp)
-			return berr
-		}
-		var ferr error
-		flat, ferr = sweep.MapContext(ctx, cells, s.cfg.Workers, func(c cell) (*SimulateResponse, error) {
-			cr := SimulateRequest{
-				Platform: req.Platform, Scheduler: req.Schedulers[c.si],
-				Algorithm: req.Algorithm, Tiles: req.Tiles[c.ti], Seed: req.Seed,
-			}
-			cr, err := cr.normalize()
-			if err != nil {
-				return nil, badRequest(err)
-			}
-			key := cr.key(fp)
-			if v, ok := s.cache.Get(key); ok {
-				s.metrics.CounterAdd("cholserved_cache_hits_total",
-					"Requests served from the result cache.", Labels{"endpoint": "/v1/sweep"}, 1)
-				return v.(*SimulateResponse), nil
-			}
-			s.metrics.CounterAdd("cholserved_cache_misses_total",
-				"Requests that had to compute their result.", Labels{"endpoint": "/v1/sweep"}, 1)
-			v, _, err := s.flight.Do(ctx, key, func() (any, error) {
-				return s.simulateOnce(ctx, cr, p)
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, v)
-			return v.(*SimulateResponse), nil
-		})
-		return ferr
+		var serr error
+		flat, runID, serr = s.sweepCells(ctx, req, p, fp)
+		return serr
 	})
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	resp := &SweepResponse{Platform: req.Platform, Schedulers: req.Schedulers, Tiles: req.Tiles, RunID: batchRunID}
+	resp := &SweepResponse{Platform: req.Platform, Schedulers: req.Schedulers, Tiles: req.Tiles, RunID: runID}
 	resp.Results = make([][]*SimulateResponse, len(req.Tiles))
 	for i := range resp.Results {
 		resp.Results[i] = flat[i*len(req.Schedulers) : (i+1)*len(req.Schedulers)]
@@ -855,16 +814,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp, false)
 }
 
-// sweepBatched computes a sweep's cache misses through the batched replay
+// sweepCells computes a sweep's cache misses through the batched replay
 // engine: cells sharing a tile count share one simulator preparation, DAG
 // and mixed-bound solve, and per-run simulator state is recycled from the
-// server's arena pool. Each cell's response is bit-identical to what the
-// serial path would produce (modulo run_id) — the internal/replay
-// equivalence suite enforces the contract. Singleflight is deliberately
-// skipped on this path: the batch already deduplicates within the request,
+// server's arena pool. Each cell's response is bit-identical to what
+// /v1/simulate returns for the same request (modulo run_id) — the
+// internal/replay equivalence suite enforces the contract. Singleflight is
+// deliberately skipped: the batch already deduplicates within the request,
 // and a concurrent identical sweep racing past the cache at worst recomputes
 // a cell; it cannot produce a different answer.
-func (s *Server) sweepBatched(ctx context.Context, req SweepRequest, p *platform.Platform, fp string) ([]*SimulateResponse, string, error) {
+func (s *Server) sweepCells(ctx context.Context, req SweepRequest, p *platform.Platform, fp string) ([]*SimulateResponse, string, error) {
 	// Resolve every scheduler name up front — replay.Job factories cannot
 	// return errors, and a bad name should fail the whole request as 400.
 	insts := make([]sched.Scheduler, len(req.Schedulers))
@@ -957,7 +916,7 @@ func (s *Server) sweepBatched(ctx context.Context, req SweepRequest, p *platform
 		Request:   SimulateRequest{Platform: req.Platform, Algorithm: req.Algorithm, Seed: req.Seed},
 		Frames:    ring,
 	})
-	rs, err := replay.RunProbed(ctx, jobs, s.cfg.Workers, &s.replayPool, obs.NewProbe(1, s.frameSink(ring)))
+	rs, err := replay.Run(ctx, jobs, s.cfg.Workers, &s.replayPool, obs.NewProbe(1, s.frameSink(ring)))
 	if err != nil {
 		s.ledger.Fail(runID, err)
 		return nil, "", err

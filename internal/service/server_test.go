@@ -223,69 +223,70 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
-// TestSweepBatchedMatchesSerial: batch:true is a throughput knob, not a
-// semantics knob — every cell of a batched sweep must equal the serial
-// sweep's cell field for field, modulo run_id (each path logs its own
-// ledger entry). Two separate servers so neither sweep sees a warm cache.
-func TestSweepBatchedMatchesSerial(t *testing.T) {
+// TestSweepMatchesSimulate: every sweep cell equals the /v1/simulate answer
+// for the same request, field for field, modulo run_id (each request logs
+// its own ledger entry). The simulate calls go to a fresh server so none of
+// them is served from a cache the sweep warmed.
+func TestSweepMatchesSimulate(t *testing.T) {
 	req := SweepRequest{
 		Platform:   "mirage",
 		Schedulers: []string{"dmda", "dmdas", "random"},
 		Tiles:      []int{4, 6, 8},
 		Seed:       7,
 	}
-	grids := map[bool]SweepResponse{}
-	for _, batch := range []bool{false, true} {
-		_, ts := newTestServer(t, Config{})
-		r := req
-		r.Batch = batch
-		resp := postJSON(t, ts.URL+"/v1/sweep", r)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch=%v: status %d", batch, resp.StatusCode)
+	_, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/v1/sweep", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d", resp.StatusCode)
+	}
+	grid := decodeBody[SweepResponse](t, resp)
+	if len(grid.Results) != len(req.Tiles) {
+		t.Fatalf("grid has %d rows, want %d", len(grid.Results), len(req.Tiles))
+	}
+	_, ref := newTestServer(t, Config{})
+	want := make([][]SimulateResponse, len(req.Tiles))
+	for i, tiles := range req.Tiles {
+		for j, name := range req.Schedulers {
+			sr := postJSON(t, ref.URL+"/v1/simulate",
+				SimulateRequest{Platform: req.Platform, Scheduler: name, Tiles: tiles, Seed: req.Seed})
+			if sr.Header.Get("X-Cache") == "hit" {
+				t.Fatalf("reference simulate [%d][%d] served from cache", i, j)
+			}
+			cell := decodeBody[SimulateResponse](t, sr)
+			cell.RunID = ""
+			want[i] = append(want[i], cell)
 		}
-		grids[batch] = decodeBody[SweepResponse](t, resp)
 	}
-	serial, batched := grids[false], grids[true]
-	if len(serial.Results) != len(req.Tiles) || len(batched.Results) != len(req.Tiles) {
-		t.Fatalf("grid shapes: serial %d rows, batched %d", len(serial.Results), len(batched.Results))
-	}
-	for i := range serial.Results {
-		for j := range serial.Results[i] {
-			a, b := *serial.Results[i][j], *batched.Results[i][j]
-			a.RunID, b.RunID = "", ""
-			if a != b {
-				t.Errorf("cell [%d][%d]: serial %+v, batched %+v", i, j, a, b)
+	sameCells := func(label string, got SweepResponse) {
+		t.Helper()
+		for i := range want {
+			for j := range want[i] {
+				c := *got.Results[i][j]
+				c.RunID = ""
+				if c != want[i][j] {
+					t.Errorf("%s cell [%d][%d]: sweep %+v, simulate %+v", label, i, j, c, want[i][j])
+				}
 			}
 		}
 	}
+	sameCells("cold", grid)
 
-	// A batched sweep on a warm cache is all hits — and still correct.
-	_, ts := newTestServer(t, Config{})
+	// A warm-cache sweep is all hits — and still correct. The legacy
+	// "batch" field is accepted and changes nothing.
 	r := req
-	resp := postJSON(t, ts.URL+"/v1/sweep", r)
-	resp.Body.Close()
 	r.Batch = true
 	resp = postJSON(t, ts.URL+"/v1/sweep", r)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm batched sweep: status %d", resp.StatusCode)
+		t.Fatalf("warm sweep with batch:true: status %d", resp.StatusCode)
 	}
-	warm := decodeBody[SweepResponse](t, resp)
-	for i := range warm.Results {
-		for j := range warm.Results[i] {
-			a, b := *serial.Results[i][j], *warm.Results[i][j]
-			a.RunID, b.RunID = "", ""
-			if a != b {
-				t.Errorf("warm cell [%d][%d]: want %+v, got %+v", i, j, a, b)
-			}
-		}
-	}
+	sameCells("warm", decodeBody[SweepResponse](t, resp))
 
-	// An unknown scheduler fails the whole batched request as 400.
-	r = SweepRequest{Platform: "mirage", Schedulers: []string{"nope"}, Tiles: []int{4}, Batch: true}
+	// An unknown scheduler fails the whole request as 400.
+	r = SweepRequest{Platform: "mirage", Schedulers: []string{"nope"}, Tiles: []int{4}}
 	resp = postJSON(t, ts.URL+"/v1/sweep", r)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown scheduler in batched sweep: status %d, want 400", resp.StatusCode)
+		t.Fatalf("unknown scheduler in sweep: status %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -170,27 +170,16 @@ func (lr *LaneRun) Reset(s sched.Scheduler, opt Options, skipInit bool) {
 	}
 }
 
-// PrimeJitter precomputes the lane's per-task jitter draws for the given run
-// seed into the slab-carved row and switches the lane's jitter model onto
-// it. The values are bit-identical to the serial per-task generator draws
-// (jitter.go); must be called before Begin — root starts consume draws.
-func (lr *LaneRun) PrimeJitter(seed int64) {
-	JitterRow(seed, lr.jitBuf)
-	lr.st.jitU = lr.jitBuf
-}
-
 // SetJitterRow primes the lane with caller-computed jitter draws (one per
-// task ID), copied into the slab-carved row. The caller owns the source
-// slice. Same contract as PrimeJitter; replay computes rows once up front
-// for grouping and hands each representative its row through here.
+// task ID, from JitterRow — bit-identical to the serial per-task generator
+// draws of jitter.go), copied into the slab-carved row, and switches the
+// lane's jitter model onto it. The caller owns the source slice. Must be
+// called before Begin — root starts consume draws. Replay computes rows once
+// up front for grouping and hands each representative its row through here.
 func (lr *LaneRun) SetJitterRow(row []float64) {
 	copy(lr.jitBuf, row)
 	lr.st.jitU = lr.jitBuf
 }
-
-// JitterValues exposes the primed row (nil when unprimed) for replay's
-// divergence and merge bookkeeping.
-func (lr *LaneRun) JitterValues() []float64 { return lr.st.jitU }
 
 // RecordStarts makes the lane record task IDs in start order, for
 // divergence-point search against follower lanes' jitter rows.
@@ -229,10 +218,6 @@ func (lr *LaneRun) Done() int { return lr.st.done }
 
 // Started returns the number of task starts so far (jitter draws consumed).
 func (lr *LaneRun) Started() int { return lr.st.started }
-
-// TaskStarted reports whether the task has started (its jitter draw is
-// consumed and its execution time fixed).
-func (lr *LaneRun) TaskStarted(id int) bool { return lr.st.res.Worker[id] != -1 }
 
 // Finalize completes the drained lane and returns its Result.
 func (lr *LaneRun) Finalize() (*Result, error) { return lr.st.finalize() }
@@ -288,9 +273,10 @@ func (d *laneDigest) b(v bool) {
 // 64-bit value. Two live lanes of the same batch with equal digests are in
 // bit-identical states: with a shared scheduler instance and
 // FutureJitterEqual draws their remaining simulation cannot differ, which is
-// the mid-run re-merge criterion replay.Lanes keys on. Heap and residency
-// arrays are folded in layout order — conservative: a layout difference that
-// happens to be behaviorally neutral reads as a mismatch, never the reverse.
+// the mid-run re-merge criterion the replay lane executor keys on. Heap and
+// residency arrays are folded in layout order — conservative: a layout
+// difference that happens to be behaviorally neutral reads as a mismatch,
+// never the reverse.
 func (lr *LaneRun) StateDigest() uint64 {
 	st := &lr.st
 	d := laneDigest{h: 14695981039346656037}

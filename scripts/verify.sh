@@ -12,6 +12,10 @@ go run ./cmd/chollint ./...
 # — it is what proves the shared-incumbent/claim-counter synchronization
 # sound while the determinism digests prove the results identical.
 go test -race ./...
+# The repository benchmark (perfbench/) is a nested Go module that
+# `./...` skips: vet and test it here so an API change that breaks its
+# build fails the gate, not the next benchmark run. Offline, ~1 s.
+(cd perfbench && go vet . && go test .)
 # Benchmark harness smoke: a fixed-iteration subset of the pinned suite
 # (<60s) proving the hot paths still run end to end. Writes nothing.
 go run ./cmd/cholbench -smoke
