@@ -14,6 +14,9 @@
 //     interval (sim-probed/*), pinning the frame-emission overhead against
 //     the nil-probe fast path — with bit-identical schedule digests enforced
 //     probe-on versus probe-off;
+//   - cold simulation prep (prep/cold/*): a fresh DAG per iteration through
+//     graph.Cholesky → simulator.Prepare → dmdas Init at P ∈ {64, 128}, so
+//     the once-per-DAG census is measured, not amortized away;
 //   - the AreaInt / MixedInt bound ILPs at P ∈ {32, 64, 128};
 //   - one end-to-end sweep (sizes × schedulers on the parallel sweep pool);
 //   - the batched replay paths (sweep/multi-seed/*, sweep/delta/*): N-seed
@@ -140,6 +143,7 @@ func main() {
 		{p: 16, sched: "dmda", iters: 20},
 		{p: 64, sched: "dmda", iters: 3},
 	}
+	prepCases := []struct{ p, iters int }{{p: 64, iters: 3}, {p: 128, iters: 1}}
 	if *smoke {
 		simCases = []simCase{
 			{p: 16, sched: "dmda", iters: 3},
@@ -153,6 +157,8 @@ func main() {
 		}
 		recCases = []simCase{{p: 16, sched: "dmda", iters: 3}}
 		probedCases = []simCase{{p: 16, sched: "dmda", iters: 3}}
+		prepCases = prepCases[:1]
+		prepCases[0].iters = 1
 	}
 
 	suite := benchio.NewSuite("cholbench")
@@ -199,6 +205,27 @@ func main() {
 		r = r.WithMetric("sim_gflops", last.GFlops(flops)).
 			WithMetric("tasks_per_sec", float64(len(d.Tasks))/(r.NsPerOp/1e9))
 		simNs[r.Name] = r.NsPerOp
+		suite.Add(r)
+		progress(r)
+	}
+
+	// Cold simulation prep: a fresh DAG per iteration through build →
+	// simulator.Prepare → dmdas Init, so the DAG census (validation,
+	// topological order, kind and size groups) is derived inside the
+	// measured function. The sim/* and bounds/* cases hoist the DAG and
+	// therefore measure warm-census numbers; these keep a prep-layer
+	// regression from hiding behind that hoist.
+	for _, c := range prepCases {
+		var tasks int
+		r := benchio.Measure(fmt.Sprintf("prep/cold/P=%d", c.p), c.iters, func() {
+			d := graph.Cholesky(c.p)
+			if _, err := simulator.Prepare(d, pf); err != nil {
+				fatal(err)
+			}
+			sched.NewDMDAS().Init(d, pf, 42)
+			tasks = len(d.Tasks)
+		})
+		r = r.WithMetric("tasks_per_sec", float64(tasks)/(r.NsPerOp/1e9))
 		suite.Add(r)
 		progress(r)
 	}

@@ -202,6 +202,7 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
 // deterministic core: everything whose output feeds a golden digest or a
 // bound comparison. detranged and noclock apply only here.
 var deterministicCore = []string{
+	"internal/graph",
 	"internal/simulator",
 	"internal/sched",
 	"internal/bounds",

@@ -40,37 +40,6 @@ func (r Result) GFlops(flops float64) float64 {
 	return platform.GFlops(flops, r.MakespanSec)
 }
 
-// group is one LP variable family: tasks of one kind at one tile size. For
-// uniform DAGs (every Task.NB zero) the groups are exactly d.Kinds() and the
-// LP below is coefficient-for-coefficient the flat per-kind formulation.
-type group struct {
-	Kind graph.Kind
-	NB   int
-}
-
-// dagGroups enumerates the (kind, nb) pairs present in the DAG, ordered by
-// size first (coarse nb = 0 groups leading, in d.Kinds() order) then kind, so
-// uniform DAGs reduce to the historical per-kind variable layout.
-func dagGroups(d *graph.DAG) ([]group, []float64) {
-	kinds := d.Kinds()
-	nbs := d.NBs()
-	count := make(map[group]float64, len(kinds)*len(nbs))
-	for _, t := range d.Tasks {
-		count[group{t.Kind, t.NB}]++
-	}
-	gs := make([]group, 0, len(kinds)*len(nbs))
-	cs := make([]float64, 0, len(kinds)*len(nbs))
-	for _, nb := range nbs {
-		for _, k := range kinds {
-			if c := count[group{k, nb}]; c > 0 {
-				gs = append(gs, group{k, nb})
-				cs = append(cs, c)
-			}
-		}
-	}
-	return gs, cs
-}
-
 // runnableNB reports whether class r can execute kind at tile size nb — the
 // size-aware counterpart of Class.CanRun, and identical to it at nb = 0 for
 // the factorization kinds (conversion kinds are priced by the cost model, not
@@ -81,9 +50,11 @@ func runnableNB(p *platform.Platform, r int, kind graph.Kind, nb int) bool {
 
 // buildAreaLP constructs the area-bound linear program. Variable layout:
 // n_rg for each class r and (kind, size) group g (row-major), then the
-// makespan l last.
-func buildAreaLP(d *graph.DAG, p *platform.Platform) (*lp.Problem, []group, int) {
-	groups, counts := dagGroups(d)
+// makespan l last. Groups come from the DAG census, ordered by size first
+// (nb = 0 leading) then kind, so uniform DAGs (every Task.NB zero) reduce to
+// the historical flat per-kind variable layout coefficient for coefficient.
+func buildAreaLP(d *graph.DAG, p *platform.Platform) (*lp.Problem, []graph.Group, int) {
+	groups := d.Groups()
 	R := len(p.Classes)
 	T := len(groups)
 	nv := R*T + 1
@@ -107,7 +78,7 @@ func buildAreaLP(d *graph.DAG, p *platform.Platform) (*lp.Problem, []group, int)
 				prob.AddConstraint(zero, lp.EQ, 0)
 			}
 		}
-		prob.AddConstraint(row, lp.EQ, counts[gi])
+		prob.AddConstraint(row, lp.EQ, float64(g.Count))
 	}
 	// Work per class fits in l × M_r.
 	for r := 0; r < R; r++ {
@@ -126,7 +97,7 @@ func buildAreaLP(d *graph.DAG, p *platform.Platform) (*lp.Problem, []group, int)
 	return prob, groups, lVar
 }
 
-func solveBound(name string, prob *lp.Problem, groups []group, lVar int,
+func solveBound(name string, prob *lp.Problem, groups []graph.Group, lVar int,
 	p *platform.Platform, integer bool) (Result, error) {
 
 	var sol *lp.Solution
@@ -211,7 +182,7 @@ var chainSpecs = map[string]chainSpec{
 // the sizes present — sound because each chain leg contains at least one
 // companion of *some* size.
 func addDiagonalChain(prob *lp.Problem, d *graph.DAG, p *platform.Platform,
-	groups []group, lVar int) error {
+	groups []graph.Group, lVar int) error {
 
 	spec, ok := chainSpecs[d.Algorithm]
 	if !ok {
@@ -219,24 +190,22 @@ func addDiagonalChain(prob *lp.Problem, d *graph.DAG, p *platform.Platform,
 	}
 	T := len(groups)
 	row := make([]float64, lVar+1)
-	diagCount := 0.0
-	counts := d.CountByKind()
-	found := false
+	diagTasks := 0
 	for gi, g := range groups {
 		if g.Kind != spec.Diagonal {
 			continue
 		}
-		found = true
+		diagTasks += g.Count
 		for r := range p.Classes {
 			if runnableNB(p, r, g.Kind, g.NB) {
 				row[r*T+gi] = p.TimeNB(r, g.Kind, g.NB)
 			}
 		}
 	}
-	if !found {
+	if diagTasks == 0 {
 		return fmt.Errorf("bounds: DAG has no %v tasks; cannot apply the %s chain", spec.Diagonal, d.Algorithm)
 	}
-	diagCount = float64(counts[spec.Diagonal])
+	diagCount := float64(diagTasks)
 	row[lVar] = -1
 	fixed := 0.0
 	if diagCount > 1 {

@@ -204,46 +204,29 @@ func SolveContext(ctx context.Context, d *graph.DAG, p *platform.Platform, opt O
 
 // buildGroups assigns every task its (kind, nb) cost group. The first
 // NumKinds groups are the nb = 0 base groups; further tile sizes present in
-// the DAG append one group per occurring kind, in (nb, kind) order.
+// the DAG append one group per occurring kind, in the census's (nb, kind)
+// order.
 func (pr *prob) buildGroups() {
 	pr.groupKind = make([]graph.Kind, graph.NumKinds)
 	pr.groupNB = make([]int, graph.NumKinds)
 	for k := graph.Kind(0); k < graph.NumKinds; k++ {
 		pr.groupKind[k] = k
 	}
-	pr.taskGroup = make([]int32, len(pr.d.Tasks))
-	nbs := pr.d.NBs()
-	if len(nbs) == 1 && nbs[0] == 0 {
-		for _, t := range pr.d.Tasks {
-			pr.taskGroup[t.ID] = int32(t.Kind)
-		}
-		return
-	}
-	groupOf := make(map[[2]int]int, 2*graph.NumKinds)
-	present := make(map[[2]int]bool, 2*graph.NumKinds)
-	for _, t := range pr.d.Tasks {
-		if t.NB != 0 {
-			present[[2]int{t.NB, int(t.Kind)}] = true
-		}
-	}
-	for _, nb := range nbs {
-		if nb == 0 {
+	groupOf := map[[2]int]int32{}
+	for _, g := range pr.d.Groups() {
+		if g.NB == 0 {
 			continue
 		}
-		for k := graph.Kind(0); k < graph.NumKinds; k++ {
-			if !present[[2]int{nb, int(k)}] {
-				continue
-			}
-			groupOf[[2]int{nb, int(k)}] = len(pr.groupKind)
-			pr.groupKind = append(pr.groupKind, k)
-			pr.groupNB = append(pr.groupNB, nb)
-		}
+		groupOf[[2]int{g.NB, int(g.Kind)}] = int32(len(pr.groupKind))
+		pr.groupKind = append(pr.groupKind, g.Kind)
+		pr.groupNB = append(pr.groupNB, g.NB)
 	}
+	pr.taskGroup = make([]int32, len(pr.d.Tasks))
 	for _, t := range pr.d.Tasks {
 		if t.NB == 0 {
 			pr.taskGroup[t.ID] = int32(t.Kind)
 		} else {
-			pr.taskGroup[t.ID] = int32(groupOf[[2]int{t.NB, int(t.Kind)}])
+			pr.taskGroup[t.ID] = groupOf[[2]int{t.NB, int(t.Kind)}]
 		}
 	}
 }

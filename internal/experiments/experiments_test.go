@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/sched"
 	"repro/internal/simulator"
 )
@@ -630,6 +631,34 @@ func TestDagFlopsMatchesClosedFormOnDense(t *testing.T) {
 	want := flops(6, 960)
 	if math.Abs(got-want) > 1e-6*want {
 		t.Fatalf("dagFlops %g vs closed form %g", got, want)
+	}
+}
+
+func TestDagFlopsSumsInAscendingKindOrder(t *testing.T) {
+	// The total must be the ascending-kind sum bit for bit, whatever the
+	// map iteration order of CountByKind.
+	perKind := [graph.NumKinds]float64{
+		graph.POTRF: kernels.PotrfFlops(960),
+		graph.TRSM:  kernels.TrsmFlops(960),
+		graph.SYRK:  kernels.SyrkFlops(960),
+		graph.GEMM:  kernels.GemmFlops(960),
+	}
+	for _, d := range []*graph.DAG{graph.Cholesky(7), graph.BandedCholesky(23, 3), graph.Cholesky(40)} {
+		var counts [graph.NumKinds]int
+		for _, tk := range d.Tasks {
+			counts[tk.Kind]++
+		}
+		want := 0.0
+		for k := graph.Kind(0); k < graph.NumKinds; k++ {
+			if counts[k] > 0 {
+				want += float64(counts[k]) * perKind[k]
+			}
+		}
+		for rep := 0; rep < 20; rep++ {
+			if got := dagFlops(d, 960); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("P=%d: dagFlops %v, want ascending-kind sum %v", d.P, got, want)
+			}
+		}
 	}
 }
 

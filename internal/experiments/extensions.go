@@ -314,9 +314,12 @@ func dagFlops(d *graph.DAG, nb int) float64 {
 		graph.SYRK:  kernels.SyrkFlops(nb),
 		graph.GEMM:  kernels.GemmFlops(nb),
 	}
+	// Sum in ascending kind order: float rounding must not depend on map
+	// iteration order.
+	counts := d.CountByKind()
 	total := 0.0
-	for kind, n := range d.CountByKind() {
-		total += float64(n) * perKind[kind]
+	for _, kind := range d.Kinds() {
+		total += float64(counts[kind]) * perKind[kind]
 	}
 	return total
 }

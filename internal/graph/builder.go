@@ -6,48 +6,76 @@ package graph
 // reads; a writer depends on the last writer and on every reader since.
 type builder struct {
 	dag        *DAG
-	lastWriter map[[2]int]int   // tile → ID of last task writing it (−1: none)
-	readers    map[[2]int][]int // tasks reading the tile since its last write
+	tileIdx    map[[2]int]int // tile coordinate → dense tile index
+	lastWriter []int          // per tile: ID of the last task writing it (−1: none)
+	readers    [][]int        // per tile: tasks reading it since its last write
+	deps       []int          // scratch: the current task's distinct predecessors
+	slab       []Task         // preallocated tasks, handed out in ID order
 }
 
 func newBuilder(alg string, p int) *builder {
-	return &builder{
-		dag:        &DAG{Algorithm: alg, P: p},
-		lastWriter: map[[2]int]int{},
-		readers:    map[[2]int][]int{},
+	return &builder{dag: &DAG{Algorithm: alg, P: p}, tileIdx: map[[2]int]int{}}
+}
+
+// tile returns the dense index of tile (i, j), registering it on first use.
+func (b *builder) tile(i, j int) int {
+	key := [2]int{i, j}
+	x, ok := b.tileIdx[key]
+	if !ok {
+		x = len(b.lastWriter)
+		b.tileIdx[key] = x
+		b.lastWriter = append(b.lastWriter, -1)
+		b.readers = append(b.readers, nil)
+	}
+	return x
+}
+
+// dep records p as a predecessor of the task being wired, once.
+func (b *builder) dep(p int) {
+	if !contains(b.deps, p) {
+		b.deps = append(b.deps, p)
 	}
 }
 
 // task appends a task accessing the given tiles and wires its dependencies.
 func (b *builder) task(kind Kind, i, j, k int, refs ...TileRef) *Task {
-	t := &Task{ID: len(b.dag.Tasks), Kind: kind, I: i, J: j, K: k, Footprint: refs}
+	if len(b.slab) == 0 { // grow geometrically, so small DAGs waste little
+		b.slab = make([]Task, min(max(len(b.dag.Tasks), 16), 1024))
+	}
+	t := &b.slab[0]
+	b.slab = b.slab[1:]
+	*t = Task{ID: len(b.dag.Tasks), Kind: kind, I: i, J: j, K: k, Footprint: refs}
 	b.dag.Tasks = append(b.dag.Tasks, t)
-	deps := map[int]bool{}
+	var tiles [4]int
+	idx := tiles[:0]
+	b.deps = b.deps[:0]
 	for _, r := range refs {
-		key := [2]int{r.I, r.J}
-		if w, ok := b.lastWriter[key]; ok {
-			deps[w] = true
+		x := b.tile(r.I, r.J)
+		idx = append(idx, x)
+		if w := b.lastWriter[x]; w >= 0 {
+			b.dep(w)
 		}
 		if r.Mode == ReadWrite {
-			for _, rd := range b.readers[key] {
-				deps[rd] = true
+			for _, rd := range b.readers[x] {
+				b.dep(rd)
 			}
 		}
 	}
-	delete(deps, t.ID)
-	for p := range deps {
-		t.Pred = append(t.Pred, p)
-		b.dag.Tasks[p].Succ = append(b.dag.Tasks[p].Succ, t.ID)
+	if len(b.deps) > 0 {
+		sortInts(b.deps)
+		t.Pred = append([]int(nil), b.deps...)
+		for _, p := range t.Pred {
+			b.dag.Tasks[p].Succ = append(b.dag.Tasks[p].Succ, t.ID)
+		}
 	}
-	sortInts(t.Pred)
 	// Update dataflow state after dependencies are wired.
-	for _, r := range refs {
-		key := [2]int{r.I, r.J}
+	for n, r := range refs {
+		x := idx[n]
 		if r.Mode == ReadWrite {
-			b.lastWriter[key] = t.ID
-			b.readers[key] = b.readers[key][:0]
+			b.lastWriter[x] = t.ID
+			b.readers[x] = b.readers[x][:0]
 		} else {
-			b.readers[key] = append(b.readers[key], t.ID)
+			b.readers[x] = append(b.readers[x], t.ID)
 		}
 	}
 	return t

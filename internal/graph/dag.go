@@ -125,6 +125,15 @@ func (t *Task) Name() string {
 }
 
 // DAG is a task graph over a P×P tiled matrix.
+//
+// A DAG is frozen once any census query has run. Validate, TopoOrder,
+// BottomLevels, CriticalPath, ComputeStats, Kinds, CountByKind, NBs and
+// Groups all read one census — topological order, validation result, kind,
+// tile-size and (kind, nb) group counts — derived from Tasks exactly once,
+// on the first such call, and shared by every later caller (concurrent ones
+// included). Builders therefore finish wiring Tasks before the first query;
+// code that wants a different graph mutates a fresh DAG, never one that has
+// been queried.
 type DAG struct {
 	Algorithm string // "cholesky", "lu", "qr"
 	P         int    // tile count per dimension
@@ -136,49 +145,108 @@ type DAG struct {
 	// deterministic code — look tiles up by coordinate instead.
 	TileNB map[[2]int]int
 
-	// Aggregates over Tasks (kind census) are computed once on first use:
-	// the bound LPs and schedulers query them per call, and rescanning a
-	// few-hundred-thousand-task DAG each time dominated their cost at large
-	// P. Callers mutating Tasks after the first Kinds/CountByKind call must
-	// work on a fresh DAG.
-	aggOnce   sync.Once
-	aggKinds  []Kind
-	aggCounts map[Kind]int
+	censusOnce sync.Once
+	census     census
 }
 
-// aggregates returns the cached kind census, computing it on first use.
+// Group is one (kind, tile size) family of tasks and its population — the
+// unit the bound LPs and the CP solver price tasks by.
+type Group struct {
+	Kind  Kind
+	NB    int
+	Count int
+}
+
+// census holds every fact derived from a frozen DAG's task structure.
+type census struct {
+	err    error        // Validate result; order is nil when set
+	order  []int        // topological order, smallest ready ID first
+	kinds  []Kind       // distinct kinds, ascending
+	counts map[Kind]int // tasks per kind
+	nbs    []int        // distinct Task.NB values, ascending
+	groups []Group      // (kind, nb) populations, ordered by nb then kind
+}
+
+// facts returns the DAG's census, deriving it on first use.
 //
-//chol:hotpath queried per bound LP row and per scheduler init; steady state must not rescan
-func (d *DAG) aggregates() ([]Kind, map[Kind]int) {
-	d.aggOnce.Do(func() { //chollint:alloc one-time census build, amortized across all queries
-		counts := make(map[Kind]int, NumKinds)
-		for _, t := range d.Tasks {
-			counts[t.Kind]++
+//chol:hotpath queried per simulation prep, scheduler init and bound LP; steady state must not rescan
+func (d *DAG) facts() *census {
+	d.censusOnce.Do(d.takeCensus) //chollint:alloc one-time census build, amortized across all queries
+	return &d.census
+}
+
+// takeCensus derives the census from Tasks. The group scan runs on any task
+// list; the order exists only when the structure validates.
+func (d *DAG) takeCensus() {
+	c := &d.census
+	for _, t := range d.Tasks {
+		g := findGroup(c.groups, t.Kind, t.NB)
+		if g == len(c.groups) {
+			c.groups = append(c.groups, Group{Kind: t.Kind, NB: t.NB})
 		}
-		kinds := make([]Kind, 0, len(counts))
-		for k := range counts {
-			kinds = append(kinds, k)
+		c.groups[g].Count++
+	}
+	sort.Slice(c.groups, func(i, j int) bool {
+		gi, gj := c.groups[i], c.groups[j]
+		if gi.NB != gj.NB {
+			return gi.NB < gj.NB
 		}
-		sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-		d.aggKinds, d.aggCounts = kinds, counts
+		return gi.Kind < gj.Kind
 	})
-	return d.aggKinds, d.aggCounts
+	c.counts = make(map[Kind]int, NumKinds)
+	for _, g := range c.groups {
+		if c.counts[g.Kind] == 0 {
+			c.kinds = append(c.kinds, g.Kind)
+		}
+		c.counts[g.Kind] += g.Count
+		if n := len(c.nbs); n == 0 || c.nbs[n-1] != g.NB {
+			c.nbs = append(c.nbs, g.NB)
+		}
+	}
+	sort.Slice(c.kinds, func(i, j int) bool { return c.kinds[i] < c.kinds[j] })
+	if c.err = d.checkStructure(); c.err == nil {
+		c.order, c.err = d.kahn()
+	}
+}
+
+// findGroup returns the index of group (k, nb) in gs, or len(gs). A DAG has
+// a handful of groups, so a linear scan beats hashing.
+func findGroup(gs []Group, k Kind, nb int) int {
+	for i, g := range gs {
+		if g.Kind == k && g.NB == nb {
+			return i
+		}
+	}
+	return len(gs)
 }
 
 // Kinds returns the distinct kernel kinds present, in ascending order.
 func (d *DAG) Kinds() []Kind {
-	ks, _ := d.aggregates()
-	return append([]Kind(nil), ks...)
+	return append([]Kind(nil), d.facts().kinds...)
 }
 
 // CountByKind returns the number of tasks of each kind.
 func (d *DAG) CountByKind() map[Kind]int {
-	_, counts := d.aggregates()
+	counts := d.facts().counts
 	c := make(map[Kind]int, len(counts))
 	for k, n := range counts {
 		c[k] = n
 	}
 	return c
+}
+
+// NBs returns the distinct Task.NB values present, in ascending order. A
+// uniform DAG yields [0]; mixed-tile DAGs yield the sizes the cost model must
+// price.
+func (d *DAG) NBs() []int {
+	return append([]int(nil), d.facts().nbs...)
+}
+
+// Groups returns the (kind, nb) task populations present, ordered by tile
+// size first (nb = 0 leading) then kind. A uniform DAG yields one group per
+// entry of Kinds, in the same order.
+func (d *DAG) Groups() []Group {
+	return append([]Group(nil), d.facts().groups...)
 }
 
 // TileSize returns the size in elements of tile (i, j), or 0 if the tile is
@@ -188,22 +256,6 @@ func (d *DAG) TileSize(i, j int) int {
 		return 0
 	}
 	return d.TileNB[[2]int{i, j}]
-}
-
-// NBs returns the distinct Task.NB values present, in ascending order. A
-// uniform DAG yields [0]; mixed-tile DAGs yield the sizes the cost model must
-// price.
-func (d *DAG) NBs() []int {
-	seen := make(map[int]bool, 4)
-	for _, t := range d.Tasks {
-		seen[t.NB] = true
-	}
-	nbs := make([]int, 0, len(seen))
-	for nb := range seen {
-		nbs = append(nbs, nb)
-	}
-	sort.Ints(nbs)
-	return nbs
 }
 
 // Roots returns the IDs of tasks with no predecessors.
@@ -218,42 +270,24 @@ func (d *DAG) Roots() []int {
 }
 
 // TopoOrder returns a topological order of task IDs (Kahn's algorithm,
-// smallest-ID-first for determinism) or an error if the graph has a cycle.
+// smallest-ID-first for determinism), or the Validate error if the graph is
+// malformed or cyclic. The slice is the caller's to modify.
 func (d *DAG) TopoOrder() ([]int, error) {
-	n := len(d.Tasks)
-	indeg := make([]int, n)
-	for _, t := range d.Tasks {
-		indeg[t.ID] = len(t.Pred)
+	c := d.facts()
+	if c.err != nil {
+		return nil, c.err
 	}
-	// Min-heap-free deterministic Kahn: scan with a sorted frontier.
-	frontier := make([]int, 0, n)
-	for id, deg := range indeg {
-		if deg == 0 {
-			frontier = append(frontier, id)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(frontier) > 0 {
-		sort.Ints(frontier)
-		id := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, id)
-		for _, s := range d.Tasks[id].Succ {
-			indeg[s]--
-			if indeg[s] == 0 {
-				frontier = append(frontier, s)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("graph: cycle detected (%d of %d tasks ordered)", len(order), n)
-	}
-	return order, nil
+	return append([]int(nil), c.order...), nil
 }
 
 // Validate checks structural invariants: IDs dense and matching slice index,
 // symmetric Succ/Pred, no self-loops, acyclicity.
 func (d *DAG) Validate() error {
+	return d.facts().err
+}
+
+// checkStructure is Validate minus acyclicity.
+func (d *DAG) checkStructure() error {
 	for i, t := range d.Tasks {
 		if t.ID != i {
 			return fmt.Errorf("graph: task at index %d has ID %d", i, t.ID)
@@ -270,13 +304,83 @@ func (d *DAG) Validate() error {
 			}
 		}
 		for _, p := range t.Pred {
+			if p < 0 || p >= len(d.Tasks) {
+				return fmt.Errorf("graph: dangling predecessor %d of task %d", p, t.ID)
+			}
 			if !contains(d.Tasks[p].Succ, t.ID) {
 				return fmt.Errorf("graph: edge %d→%d missing forward link", p, t.ID)
 			}
 		}
 	}
-	_, err := d.TopoOrder()
-	return err
+	return nil
+}
+
+// kahn orders a structurally valid DAG by Kahn's algorithm, always taking
+// the smallest ready ID next from a binary min-heap frontier.
+func (d *DAG) kahn() ([]int, error) {
+	n := len(d.Tasks)
+	indeg := make([]int32, n)
+	var ready minHeap
+	for id, t := range d.Tasks {
+		indeg[id] = int32(len(t.Pred))
+		if indeg[id] == 0 {
+			ready.push(id)
+		}
+	}
+	order := make([]int, 0, n)
+	for len(ready) > 0 {
+		id := ready.pop()
+		order = append(order, id)
+		for _, s := range d.Tasks[id].Succ {
+			indeg[s]--
+			if indeg[s] == 0 {
+				ready.push(s)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, fmt.Errorf("graph: cycle detected (%d of %d tasks ordered)", len(order), n)
+	}
+	return order, nil
+}
+
+// minHeap is a binary min-heap of task IDs.
+type minHeap []int
+
+func (h *minHeap) push(v int) {
+	s := append(*h, v)
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if s[up] <= s[i] {
+			break
+		}
+		s[up], s[i] = s[i], s[up]
+		i = up
+	}
+	*h = s
+}
+
+func (h *minHeap) pop() int {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < n && s[l] < s[m] {
+			m = l
+		}
+		if r < n && s[r] < s[m] {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
 
 func contains(s []int, v int) bool {
@@ -292,10 +396,11 @@ func contains(s []int, v int) bool {
 // the task to an exit task, node weights given by weight (typically a kernel
 // execution-time estimate). This is the HEFT priority used by dmdas.
 func (d *DAG) BottomLevels(weight func(*Task) float64) ([]float64, error) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		return nil, err
+	c := d.facts()
+	if c.err != nil {
+		return nil, c.err
 	}
+	order := c.order
 	bl := make([]float64, len(d.Tasks))
 	for i := len(order) - 1; i >= 0; i-- {
 		t := d.Tasks[order[i]]
@@ -373,13 +478,13 @@ type Stats struct {
 // ComputeStats derives the structural statistics of the DAG.
 func (d *DAG) ComputeStats() (Stats, error) {
 	st := Stats{Tasks: len(d.Tasks)}
-	order, err := d.TopoOrder()
-	if err != nil {
-		return st, err
+	c := d.facts()
+	if c.err != nil {
+		return st, c.err
 	}
 	depth := make([]int, len(d.Tasks))
 	maxDepth := 0
-	for _, id := range order {
+	for _, id := range c.order {
 		t := d.Tasks[id]
 		st.Edges += len(t.Succ)
 		for _, p := range t.Pred {

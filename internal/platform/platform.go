@@ -293,8 +293,12 @@ func (p *Platform) SpeedupTable(slow, fast int, kinds []graph.Kind) map[graph.Ki
 // With the Mirage model and Cholesky DAGs this reproduces the paper's values
 // 17.30, 22.30, 24.30, 25.38, 26.06, 26.52, 26.86, 27.11 for p = 4..32.
 func (p *Platform) AccelerationFactor(d *graph.DAG, slow, fast int) float64 {
+	// Sum in ascending kind order: float rounding must not depend on map
+	// iteration order.
+	counts := d.CountByKind()
 	num, den := 0.0, 0.0
-	for kind, n := range d.CountByKind() {
+	for _, kind := range d.Kinds() {
+		n := counts[kind]
 		num += float64(n) * p.Time(slow, kind) / p.Time(fast, kind)
 		den += float64(n)
 	}

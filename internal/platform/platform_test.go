@@ -46,6 +46,41 @@ func TestAccelerationFactorsMatchPaper(t *testing.T) {
 	}
 }
 
+// ascendingKindCounts tallies a DAG's tasks per kind by scanning Tasks, so
+// the bit-exactness tests below do not trust the census they check.
+func ascendingKindCounts(d *graph.DAG) [graph.NumKinds]int {
+	var n [graph.NumKinds]int
+	for _, t := range d.Tasks {
+		n[t.Kind]++
+	}
+	return n
+}
+
+func TestAccelerationFactorSumsInAscendingKindOrder(t *testing.T) {
+	// K must be the ascending-kind sum bit for bit: summing in map
+	// iteration order makes the rounding, and thus the "related" platform
+	// built from K, vary between runs.
+	p := MirageExtended()
+	for _, d := range []*graph.DAG{graph.Cholesky(4), graph.Cholesky(17), graph.Cholesky(32), graph.LU(9), graph.QR(9)} {
+		counts := ascendingKindCounts(d)
+		num, den := 0.0, 0.0
+		for k := graph.Kind(0); k < graph.NumKinds; k++ {
+			if counts[k] == 0 {
+				continue
+			}
+			num += float64(counts[k]) * p.Time(0, k) / p.Time(1, k)
+			den += float64(counts[k])
+		}
+		want := num / den
+		for rep := 0; rep < 20; rep++ {
+			if got := p.AccelerationFactor(d, 0, 1); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s P=%d: K = %v (bits %x), want ascending-kind sum %v (bits %x)",
+					d.Algorithm, d.P, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestMirageValidates(t *testing.T) {
 	if err := Mirage().Validate(graph.CholeskyKinds); err != nil {
 		t.Fatal(err)
