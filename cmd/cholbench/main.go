@@ -17,6 +17,10 @@
 //   - cold simulation prep (prep/cold/*): a fresh DAG per iteration through
 //     graph.Cholesky → simulator.Prepare → dmdas Init at P ∈ {64, 128}, so
 //     the once-per-DAG census is measured, not amortized away;
+//   - the full cold chain (sim/cold/*): a fresh DAG per iteration through
+//     core.Simulate — Prepare → Run → Validate → MixedInt — at P=96, the
+//     only case where an event-loop cost that grows with the DAG (e.g. an
+//     O(resident tiles) residency update) shows up at cold-run scale;
 //   - the AreaInt / MixedInt bound ILPs at P ∈ {32, 64, 128};
 //   - one end-to-end sweep (sizes × schedulers on the parallel sweep pool);
 //   - the batched replay paths (sweep/multi-seed/*, sweep/delta/*): N-seed
@@ -98,7 +102,7 @@ func fullBoundCases() []boundCase {
 
 func main() {
 	smoke := flag.Bool("smoke", false, "reduced <60s suite: run, sanity-check, write nothing")
-	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
+	out := flag.String("out", "BENCH_PR14.json", "output JSON path")
 	baselineFrom := flag.String("baseline-from", "", "previous suite JSON whose results become this run's embedded baseline")
 	note := flag.String("note", "", "free-form note stored in the suite")
 	gobench := flag.Bool("gobench", false, "also print results in Go benchmark text format (for benchstat)")
@@ -144,6 +148,7 @@ func main() {
 		{p: 64, sched: "dmda", iters: 3},
 	}
 	prepCases := []struct{ p, iters int }{{p: 64, iters: 3}, {p: 128, iters: 1}}
+	coldCases := []simCase{{p: 96, sched: "dmda", iters: 3}}
 	if *smoke {
 		simCases = []simCase{
 			{p: 16, sched: "dmda", iters: 3},
@@ -159,6 +164,7 @@ func main() {
 		probedCases = []simCase{{p: 16, sched: "dmda", iters: 3}}
 		prepCases = prepCases[:1]
 		prepCases[0].iters = 1
+		coldCases[0].iters = 1
 	}
 
 	suite := benchio.NewSuite("cholbench")
@@ -226,6 +232,33 @@ func main() {
 			tasks = len(d.Tasks)
 		})
 		r = r.WithMetric("tasks_per_sec", float64(tasks)/(r.NsPerOp/1e9))
+		suite.Add(r)
+		progress(r)
+	}
+
+	// Full cold chain: everything core.Simulate does, DAG build included.
+	// sim/* hoists the DAG and prep/cold/* stops before the event loop, so
+	// neither sees a regression that only a cold, large run exercises.
+	for _, c := range coldCases {
+		flops := kernels.CholeskyFlops(c.p * platform.TileNB)
+		var last *core.SimulationReport
+		r := benchio.Measure(fmt.Sprintf("sim/cold/P=%d/%s", c.p, c.sched), c.iters, func() {
+			s, err := core.NewScheduler(c.sched)
+			if err != nil {
+				fatal(err)
+			}
+			rep, err := core.Simulate(context.Background(), c.p, pf, s, simulator.Options{Seed: 42})
+			if err != nil {
+				fatal(err)
+			}
+			last = rep
+		})
+		if last.Efficiency <= 0 || last.Efficiency > 1+1e-9 {
+			fatal(fmt.Errorf("cholbench: sim/cold P=%d/%s efficiency %g outside (0, 1]", c.p, c.sched, last.Efficiency))
+		}
+		tasks := len(last.Result.Start)
+		r = r.WithMetric("sim_gflops", last.Result.GFlops(flops)).
+			WithMetric("tasks_per_sec", float64(tasks)/(r.NsPerOp/1e9))
 		suite.Add(r)
 		progress(r)
 	}

@@ -58,6 +58,9 @@ func ParseSplit(s string) (Split, error) {
 // Check validates the spec against a concrete problem: tiles coarse panels of
 // size nb each. It reports the errors graph.CholeskySplit would panic on.
 func (sp Split) Check(tiles, nb int) error {
+	if tiles < 1 || nb < 1 {
+		return fmt.Errorf("cliflags: -nb-split needs at least one tile of positive size, got %d tiles of size %d", tiles, nb)
+	}
 	if sp.FromK > tiles {
 		return fmt.Errorf("cliflags: -nb-split panel %d beyond the last tile %d", sp.FromK, tiles)
 	}

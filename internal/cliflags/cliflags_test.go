@@ -34,6 +34,12 @@ func TestSplitCheck(t *testing.T) {
 	if err := (Split{Factor: 7, FromK: 2}).Check(8, 960); err == nil {
 		t.Fatal("non-dividing factor accepted")
 	}
+	if err := (Split{Factor: 2, FromK: 0}).Check(0, 960); err == nil {
+		t.Fatal("zero tiles accepted")
+	}
+	if err := (Split{Factor: 2, FromK: 0}).Check(8, 0); err == nil {
+		t.Fatal("zero tile size accepted")
+	}
 }
 
 func TestFlagRegistration(t *testing.T) {

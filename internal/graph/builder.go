@@ -6,7 +6,7 @@ package graph
 // reads; a writer depends on the last writer and on every reader since.
 type builder struct {
 	dag        *DAG
-	tileIdx    map[[2]int]int // tile coordinate → dense tile index
+	tileIdx    map[uint64]int // packed tile coordinate (TileKey) → dense tile index
 	lastWriter []int          // per tile: ID of the last task writing it (−1: none)
 	readers    [][]int        // per tile: tasks reading it since its last write
 	deps       []int          // scratch: the current task's distinct predecessors
@@ -14,12 +14,17 @@ type builder struct {
 }
 
 func newBuilder(alg string, p int) *builder {
-	return &builder{dag: &DAG{Algorithm: alg, P: p}, tileIdx: map[[2]int]int{}}
+	return &builder{dag: &DAG{Algorithm: alg, P: p}, tileIdx: map[uint64]int{}}
 }
+
+// TileKey packs a tile coordinate into one word, so coordinate-keyed maps
+// take Go's fast 64-bit-key path instead of hashing a [2]int array. The
+// packing is injective over 32-bit coordinates.
+func TileKey(i, j int) uint64 { return uint64(uint32(i))<<32 | uint64(uint32(j)) }
 
 // tile returns the dense index of tile (i, j), registering it on first use.
 func (b *builder) tile(i, j int) int {
-	key := [2]int{i, j}
+	key := TileKey(i, j)
 	x, ok := b.tileIdx[key]
 	if !ok {
 		x = len(b.lastWriter)

@@ -107,9 +107,6 @@ type TableModel struct {
 	P *Platform
 }
 
-// NewTableModel returns the table adapter over p's calibrated tables.
-func NewTableModel(p *Platform) TableModel { return TableModel{P: p} }
-
 // Time implements CostModel.
 func (m TableModel) Time(class int, kind graph.Kind, nb int) float64 {
 	if kind.IsConversion() {
@@ -181,7 +178,7 @@ func (p *Platform) CostModel() CostModel {
 	if p.Model == ModelScaled {
 		return NewScaledModel(p, p.DefaultNB())
 	}
-	return NewTableModel(p)
+	return TableModel{P: p}
 }
 
 // TimeNB returns T_rt(nb) under the platform's cost model. nb = 0 (the

@@ -20,8 +20,8 @@ func chunks(b []float64, p, nb int) [][]float64 {
 	return out
 }
 
-// ForwardSolveExecutor maps forward-solve tasks onto the kernels.
-func ForwardSolveExecutor(l *matrix.Tiled, b [][]float64) TaskFunc {
+// forwardSolveExecutor maps forward-solve tasks onto the kernels.
+func forwardSolveExecutor(l *matrix.Tiled, b [][]float64) TaskFunc {
 	return func(t *graph.Task) error {
 		switch t.Kind {
 		case graph.TRSV:
@@ -35,8 +35,8 @@ func ForwardSolveExecutor(l *matrix.Tiled, b [][]float64) TaskFunc {
 	}
 }
 
-// BackwardSolveExecutor maps backward-solve tasks onto the kernels.
-func BackwardSolveExecutor(l *matrix.Tiled, b [][]float64) TaskFunc {
+// backwardSolveExecutor maps backward-solve tasks onto the kernels.
+func backwardSolveExecutor(l *matrix.Tiled, b [][]float64) TaskFunc {
 	return func(t *graph.Task) error {
 		switch t.Kind {
 		case graph.TRSV:
@@ -59,10 +59,10 @@ func Solve(l *matrix.Tiled, b []float64, opt Options) ([]float64, error) {
 		return nil, fmt.Errorf("runtime: rhs length %d != matrix dimension %d", len(b), n)
 	}
 	ch := chunks(b, l.P, l.NB)
-	if _, err := Run(graph.ForwardSolve(l.P), ForwardSolveExecutor(l, ch), opt); err != nil {
+	if _, err := Run(graph.ForwardSolve(l.P), forwardSolveExecutor(l, ch), opt); err != nil {
 		return nil, err
 	}
-	if _, err := Run(graph.BackwardSolve(l.P), BackwardSolveExecutor(l, ch), opt); err != nil {
+	if _, err := Run(graph.BackwardSolve(l.P), backwardSolveExecutor(l, ch), opt); err != nil {
 		return nil, err
 	}
 	return b, nil

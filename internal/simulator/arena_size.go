@@ -7,7 +7,7 @@ func (a *Arena) Footprint() int {
 	st := &a.st
 	b := 8 * (cap(st.workerFree) + cap(st.estFree) + cap(st.dataReady) + cap(st.linkFree) + cap(st.jitU))
 	b += cap(st.executing) + cap(st.workerDirty) + cap(st.doneTask) + cap(st.loc)
-	b += 4 * (cap(st.locCount) + cap(st.pins) + cap(st.indeg) + cap(st.decTrace) + cap(st.startTrace))
+	b += 4 * (cap(st.locCount) + cap(st.pins) + cap(st.residentPos) + cap(st.indeg) + cap(st.decTrace) + cap(st.startTrace))
 	b += 8 * cap(st.lastUse)
 	b += 32 * cap(st.events) // sizeof(event)
 	for w := range st.queues {

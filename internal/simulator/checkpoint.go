@@ -165,6 +165,10 @@ func (st *state) restore(sn *Snapshot) {
 	}
 	for node := range st.residentTiles {
 		st.residentTiles[node] = append(st.residentTiles[node][:0], sn.Resident[node]...)
+		// residentPos is derived state: rebuild it rather than snapshot it.
+		for i, ti := range sn.Resident[node] {
+			st.residentPos[node*st.nTiles+int(ti)] = int32(i)
+		}
 	}
 	st.events = st.events[:0]
 	for _, e := range sn.Events {

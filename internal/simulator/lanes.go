@@ -8,11 +8,11 @@ import (
 
 // LaneBatch owns the mutable state of W seed-lanes advanced by one event
 // loop, laid out structure-of-arrays: every lane's dense per-run arrays —
-// worker clocks, tile locations, LRU stamps, pin counts, dependency counts
-// and the precomputed jitter draws — are carved from four shared lane-major
-// slabs (one backing allocation per element type), so lane i's state is one
-// contiguous stripe and the whole batch costs four allocations instead of
-// a dozen per lane. Queue rings, the event heap and the Result stay
+// worker clocks, tile locations, LRU stamps, pin counts, residency
+// positions, dependency counts and the precomputed jitter draws — are
+// carved from four shared lane-major slabs (one backing allocation per
+// element type), so lane i's state is one contiguous stripe and the whole
+// batch costs four allocations instead of a dozen per lane. Queue rings, the event heap and the Result stay
 // per-lane: they grow dynamically and escape, respectively.
 //
 // A zero LaneBatch is ready; Bind sizes it for a (Prep, lane-count) pair and
@@ -73,11 +73,11 @@ func growInts(s []int, n int) []int {
 // dense arrays from the lane-major slabs. Existing backing memory is reused
 // whenever large enough.
 func (lb *LaneBatch) Bind(pp *Prep, lanes int) {
-	n, nW, nNodes, nTiles := pp.nTasks, pp.p.Workers(), pp.nNodes, pp.nTiles
-	f64L := 2*nW + nNodes + 2*n        // workerFree, estFree, linkFree, dataReady, jitter row
-	boolL := 2*nW + n + nTiles*nNodes  // executing, workerDirty, doneTask, loc
-	i32L := nTiles + nNodes*nTiles + n // locCount, pins, indeg
-	intL := nNodes * nTiles            // lastUse
+	n, nW, nNodes, nTiles := pp.nTasks, len(pp.wClass), pp.nNodes, pp.nTiles
+	f64L := 2*nW + nNodes + 2*n          // workerFree, estFree, linkFree, dataReady, jitter row
+	boolL := 2*nW + n + nTiles*nNodes    // executing, workerDirty, doneTask, loc
+	i32L := nTiles + 2*nNodes*nTiles + n // locCount, pins, residentPos, indeg
+	intL := nNodes * nTiles              // lastUse
 
 	lb.pp = pp
 	lb.f64 = growF64(lb.f64, lanes*f64L)
@@ -122,6 +122,8 @@ func (lb *LaneBatch) Bind(pp *Prep, lanes int) {
 		st.locCount = lb.i32[off : off+nTiles : off+nTiles]
 		off += nTiles
 		st.pins = lb.i32[off : off+nNodes*nTiles : off+nNodes*nTiles]
+		off += nNodes * nTiles
+		st.residentPos = lb.i32[off : off+nNodes*nTiles : off+nNodes*nTiles]
 		off += nNodes * nTiles
 		st.indeg = lb.i32[off : off+n : off+n]
 

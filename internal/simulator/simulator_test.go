@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -493,15 +494,108 @@ func TestMemoryCapacityEvictions(t *testing.T) {
 	}
 }
 
+// TestMemoryCapacityResidencyInvariant drives the event loop one completion
+// at a time on mirage with unlimited GPU memory and with 4-, 8- and 16-tile
+// GPUs, and after every event checks the residency bookkeeping from the
+// inside: residentPos locates every listed tile, lastUse ≥ 0 holds exactly
+// for listed tiles, and the host lists nothing. A mid-run Snapshot restored
+// into a fresh arena must then finish with the uninterrupted run's digest —
+// restore rebuilds residentPos, which the snapshot does not carry.
 func TestMemoryCapacityResidencyInvariant(t *testing.T) {
-	// With capacity C, at no point may more than C unpinned tiles stay
-	// resident. We can't observe internals here, but a correct manager keeps
-	// the run valid and all tasks complete across capacities.
 	d := graph.Cholesky(10)
-	for _, tiles := range []int{4, 8, 16, 64} {
-		r := mustRun(t, d, limitedMirage(tiles), sched.NewDMDAS(), Options{Seed: 1})
-		if r.MakespanSec <= 0 {
-			t.Fatalf("capacity %d: bad makespan", tiles)
+	opt := Options{Seed: 1}
+	cases := []struct {
+		name string
+		p    *platform.Platform
+	}{
+		{"unlimited", platform.Mirage()},
+		{"gpu4", limitedMirage(4)},
+		{"gpu8", limitedMirage(8)},
+		{"gpu16", limitedMirage(16)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pp, err := Prepare(d, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var a Arena
+			st := &a.st
+			s := sched.NewDMDAS()
+			st.reset(pp, s, opt)
+			s.Init(pp.d, pp.p, opt.Seed)
+			st.start()
+			checkResidency(t, st)
+			var mid *Snapshot
+			for len(st.events) > 0 {
+				st.processEvent()
+				checkResidency(t, st)
+				if t.Failed() {
+					t.Fatalf("residency invariant broken after %d events", st.done)
+				}
+				if st.done == pp.nTasks/2 {
+					mid = st.captureSnapshot()
+				}
+			}
+			r, err := st.finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate(d, tc.p, r); err != nil {
+				t.Fatal(err)
+			}
+			want := resultHash(r)
+			if mid == nil {
+				t.Fatal("no mid-run snapshot taken")
+			}
+			// Resume by hand so the restored index is checked before the
+			// loop runs on it: a stale residentPos can corrupt the lists
+			// badly enough that LRU eviction never terminates.
+			var b Arena
+			rs := &b.st
+			s2 := sched.NewDMDAS()
+			rs.reset(pp, s2, opt)
+			s2.Init(pp.d, pp.p, opt.Seed)
+			rs.restore(mid)
+			checkResidency(t, rs)
+			if t.Failed() {
+				t.Fatal("residency invariant broken after restore")
+			}
+			resumed, err := rs.loop(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultHash(resumed); got != want {
+				t.Fatalf("resumed digest %016x != uninterrupted %016x", got, want)
+			}
+		})
+	}
+}
+
+// checkResidency asserts the residency index invariants of st.
+func checkResidency(t *testing.T, st *state) {
+	t.Helper()
+	if len(st.residentTiles[0]) != 0 {
+		t.Errorf("host node lists %d resident tiles", len(st.residentTiles[0]))
+	}
+	listed := make([]bool, st.nTiles)
+	for node := range st.residentTiles {
+		base := node * st.nTiles
+		clear(listed)
+		for i, v := range st.residentTiles[node] {
+			ti := int(v)
+			if listed[ti] {
+				t.Errorf("node %d lists tile %d twice", node, ti)
+			}
+			listed[ti] = true
+			if pos := st.residentPos[base+ti]; int(pos) != i {
+				t.Errorf("node %d tile %d: residentPos %d, listed at %d", node, ti, pos, i)
+			}
+		}
+		for ti := 0; ti < st.nTiles; ti++ {
+			if (st.lastUse[base+ti] >= 0) != listed[ti] {
+				t.Errorf("node %d tile %d: lastUse %d but listed=%v", node, ti, st.lastUse[base+ti], listed[ti])
+			}
 		}
 	}
 }
