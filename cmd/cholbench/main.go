@@ -102,7 +102,7 @@ func fullBoundCases() []boundCase {
 
 func main() {
 	smoke := flag.Bool("smoke", false, "reduced <60s suite: run, sanity-check, write nothing")
-	out := flag.String("out", "BENCH_PR14.json", "output JSON path")
+	out := flag.String("out", "BENCH_PR15.json", "output JSON path")
 	baselineFrom := flag.String("baseline-from", "", "previous suite JSON whose results become this run's embedded baseline")
 	note := flag.String("note", "", "free-form note stored in the suite")
 	gobench := flag.Bool("gobench", false, "also print results in Go benchmark text format (for benchstat)")
@@ -499,6 +499,41 @@ func main() {
 		})
 		if last.Makespan <= 0 {
 			fatal(fmt.Errorf("cholbench: cpsolve P=%d/workers=%d produced non-positive makespan", c.p, c.workers))
+		}
+		r = r.WithMetric("nodes_per_sec", float64(last.Nodes)/(r.NsPerOp/1e9)).
+			WithMetric("makespan_at_budget", last.Makespan)
+		suite.Add(r)
+		progress(r)
+	}
+
+	// The experiments' search shape: CommAwareCP's comm-aware call at its
+	// largest size — Mirage without communication as the CP model, one PCI
+	// hop charged per class-crossing dependency, Beam 3, the default
+	// 120000-node budget and a dmdas warm start simulated in the same model.
+	{
+		budget, iters := 120000, 3
+		if *smoke {
+			budget, iters = 10000, 1
+		}
+		model := platform.WithoutCommunication(platform.Mirage())
+		target := platform.Mirage()
+		hop := target.Bus.TransferTime(target.TileBytes)
+		d := graph.Cholesky(10)
+		warmRes, err := simulator.Run(d, model, sched.NewDMDAS(), simulator.Options{Seed: 42})
+		if err != nil {
+			fatal(err)
+		}
+		warm := &sched.StaticSchedule{Worker: warmRes.Worker, Start: warmRes.Start, EstMakespan: warmRes.MakespanSec}
+		var last *cpsolve.Result
+		r := benchio.Measure("cpsolve/P=10/comm-aware", iters, func() {
+			res, err := cpsolve.Solve(d, model, cpsolve.Options{NodeBudget: budget, Beam: 3, CommHopSec: hop, WarmStart: warm})
+			if err != nil {
+				fatal(err)
+			}
+			last = res
+		})
+		if last.Makespan <= 0 {
+			fatal(fmt.Errorf("cholbench: cpsolve P=10/comm-aware produced non-positive makespan"))
 		}
 		r = r.WithMetric("nodes_per_sec", float64(last.Nodes)/(r.NsPerOp/1e9)).
 			WithMetric("makespan_at_budget", last.Makespan)

@@ -106,6 +106,14 @@ func TestParameterizedNames(t *testing.T) {
 }
 
 func TestRegisterCustom(t *testing.T) {
+	// Unregister on exit so the test can run again in the same process
+	// (-count=N): a second registration would hit the duplicate panic.
+	t.Cleanup(func() {
+		registry.mu.Lock()
+		defer registry.mu.Unlock()
+		delete(registry.platforms, "zz-test-flat")
+		delete(registry.schedulers, "zz-test-greedy")
+	})
 	RegisterPlatform(PlatformEntry{
 		Name:        "zz-test-flat",
 		Param:       "N",

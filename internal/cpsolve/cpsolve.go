@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/graph"
@@ -92,9 +93,9 @@ type prob struct {
 	blFast []float64 // bottom levels under fastest times (pruning + order)
 	tail   []float64 // blFast minus the task's own fastest time
 
-	classes    []int       // usable platform class indices
-	classExec  [][]float64 // per internal class, exec time per cost group (+Inf unsupported)
-	classOrder [][]int     // per cost group, internal classes sorted by exec time
+	classes    []int         // usable platform class indices
+	classExec  [][]float64   // per internal class, exec time per cost group (+Inf unsupported)
+	placements [][]placement // per cost group, supported classes in branch order
 
 	// Cost groups are the distinct (kind, nb) pairs the cost model must
 	// price: groups 0..NumKinds−1 are the nb = 0 base groups (uniform DAGs
@@ -110,6 +111,19 @@ type prob struct {
 
 	baseIndeg []int
 	roots     []int
+
+	// Branch priority: tasks sorted once by (blFast desc, ID). rank[id] is a
+	// task's position in that order and byRank its inverse, so the ready
+	// bitset's lowest set bits are the best candidates.
+	rank   []int32
+	byRank []int32
+}
+
+// placement is one branch of a task: an internal class that supports it and
+// its exec time there.
+type placement struct {
+	ci   int
+	exec float64
 }
 
 // solver is one worker's mutable search state. Everything here is reset and
@@ -122,7 +136,26 @@ type solver struct {
 	finish     []float64
 	worker     []int
 	indeg      []int
-	ready      []int
+
+	// The ready set is a bitset over branch-priority ranks plus its size.
+	// When a task wakes its predecessors are all committed, and they stay
+	// so while it is ready, so everything derived from them is fixed then:
+	// readyAt is its dependency-ready time (latest predecessor finish),
+	// bound (indexed by rank) that plus its bottom level, and, under the
+	// comm model only, readyOnClass its ready time per internal class
+	// (row-major, len(classes) per task). predMax is wake's scratch row.
+	//
+	// over counts the ready tasks whose bound reaches bestMk−pruneEps, so
+	// the node's lower-bound test is O(1). bestMk is set before a run
+	// builds its ready set and otherwise only drops at a complete schedule,
+	// where the ready set is empty, so the count never needs rebuilding.
+	ready        []uint64
+	nReady       int
+	over         int
+	readyAt      []float64
+	bound        []float64
+	readyOnClass []float64
+	predMax      []float64
 
 	bestWorker []int
 	bestStart  []float64
@@ -134,8 +167,17 @@ type solver struct {
 	cut       bool
 	cancelled bool
 
-	cands  [][]int     // per depth, top-Beam candidate scratch
-	depsIn [][]float64 // per depth, per-class max predecessor finish (comm model)
+	// Per-depth scratch, one row per depth d: the top-Beam candidates at
+	// cands[d*Beam:], each internal class's earliest-free worker at
+	// free[d*len(classes):].
+	cands []int
+	free  []freeWorker
+}
+
+// freeWorker is one class's earliest-free worker and the time it frees up.
+type freeWorker struct {
+	w  int
+	at float64
 }
 
 // Solve searches for a low-makespan static schedule of d on p.
@@ -255,8 +297,8 @@ func newProb(d *graph.DAG, p *platform.Platform, opt Options, bl []float64) *pro
 	for w := range pr.workerCi {
 		pr.workerCi[w] = classIdxOf[p.WorkerClass(w)]
 	}
-	pr.classOrder = make([][]int, len(pr.groupKind))
-	for g := range pr.classOrder {
+	pr.placements = make([][]placement, len(pr.groupKind))
+	for g := range pr.placements {
 		order := make([]int, len(pr.classes))
 		for i := range order {
 			order[i] = i
@@ -270,7 +312,11 @@ func newProb(d *graph.DAG, p *platform.Platform, opt Options, bl []float64) *pro
 			}
 			return order[a] < order[b]
 		})
-		pr.classOrder[g] = order
+		for _, ci := range order {
+			if exec := pr.classExec[ci][g]; !math.IsInf(exec, 1) {
+				pr.placements[g] = append(pr.placements[g], placement{ci, exec})
+			}
+		}
 	}
 	pr.tail = make([]float64, pr.nTasks)
 	pr.baseIndeg = make([]int, pr.nTasks)
@@ -280,6 +326,22 @@ func newProb(d *graph.DAG, p *platform.Platform, opt Options, bl []float64) *pro
 		if len(t.Pred) == 0 {
 			pr.roots = append(pr.roots, t.ID)
 		}
+	}
+	pr.byRank = make([]int32, pr.nTasks)
+	for i := range pr.byRank {
+		pr.byRank[i] = int32(i)
+	}
+	sort.Slice(pr.byRank, func(a, b int) bool {
+		ia, ib := pr.byRank[a], pr.byRank[b]
+		// Tie-break on the exact stored bottom levels, then task ID.
+		if bl[ia] != bl[ib] { //chollint:floateq
+			return bl[ia] > bl[ib]
+		}
+		return ia < ib
+	})
+	pr.rank = make([]int32, pr.nTasks)
+	for r, id := range pr.byRank {
+		pr.rank[id] = int32(r)
 	}
 	return pr
 }
@@ -294,21 +356,18 @@ func newSolver(pr *prob, ctx context.Context) *solver {
 		finish:     make([]float64, pr.nTasks),
 		worker:     make([]int, pr.nTasks),
 		indeg:      make([]int, pr.nTasks),
-		ready:      make([]int, 0, pr.nTasks),
+		ready:      make([]uint64, (pr.nTasks+63)/64),
+		readyAt:    make([]float64, pr.nTasks),
+		bound:      make([]float64, pr.nTasks),
 		bestWorker: make([]int, pr.nTasks),
 		bestStart:  make([]float64, pr.nTasks),
 		bestMk:     math.Inf(1),
-		cands:      make([][]int, pr.nTasks+1),
-	}
-	for i := range s.cands {
-		// Beam+1 so the insertion step can append before truncating.
-		s.cands[i] = make([]int, 0, pr.opt.Beam+1)
+		cands:      make([]int, (pr.nTasks+1)*pr.opt.Beam),
+		free:       make([]freeWorker, (pr.nTasks+1)*len(pr.classes)),
 	}
 	if pr.opt.CommHopSec > 0 {
-		s.depsIn = make([][]float64, pr.nTasks+1)
-		for i := range s.depsIn {
-			s.depsIn[i] = make([]float64, len(pr.classes))
-		}
+		s.readyOnClass = make([]float64, pr.nTasks*len(pr.classes))
+		s.predMax = make([]float64, len(pr.classes))
 	}
 	return s
 }
@@ -320,11 +379,12 @@ func (s *solver) reset() {
 		s.worker[i] = -1
 	}
 	copy(s.indeg, s.pr.baseIndeg)
-	s.ready = s.ready[:0]
-	s.ready = append(s.ready, s.pr.roots...)
-	for i := range s.workerFree {
-		s.workerFree[i] = 0
+	clear(s.ready)
+	s.nReady, s.over = 0, 0
+	for _, id := range s.pr.roots {
+		s.wake(id)
 	}
+	clear(s.workerFree)
 }
 
 // replayPath re-commits a subtree's decision path onto a freshly reset
@@ -335,9 +395,8 @@ func (s *solver) replayPath(path []step) float64 {
 	maxFinish := 0.0
 	for _, st := range path {
 		id, ci := int(st.task), int(st.class)
-		t := s.pr.d.Tasks[id]
 		exec := s.pr.classExec[ci][s.pr.taskGroup[id]]
-		df := s.depsFinishOn(id, ci)
+		df := s.readyOn(id, ci)
 		w, wf := s.earliestFree(ci)
 		start := wf
 		if df > start {
@@ -347,13 +406,7 @@ func (s *solver) replayPath(path []step) float64 {
 		s.worker[id] = w
 		s.finish[id] = end
 		s.workerFree[w] = end
-		s.removeReady(id)
-		for _, succ := range t.Succ {
-			s.indeg[succ]--
-			if s.indeg[succ] == 0 {
-				s.ready = append(s.ready, succ)
-			}
-		}
+		s.commit(id)
 		if end > maxFinish {
 			maxFinish = end
 		}
@@ -390,7 +443,7 @@ func (s *solver) dfs(depth int, maxFinish float64) {
 		s.cancelled = true
 		return
 	}
-	if len(s.ready) == 0 {
+	if s.nReady == 0 {
 		// All tasks scheduled (readiness propagation guarantees progress on
 		// DAGs): record incumbent.
 		if maxFinish < s.bestMk {
@@ -405,38 +458,24 @@ func (s *solver) dfs(depth int, maxFinish float64) {
 		return
 	}
 
-	// Lower bound: each ready task's earliest start + its critical path.
-	lb := maxFinish
-	for _, id := range s.ready {
-		est := s.depsFinish(id)
-		if est+s.pr.blFast[id] > lb {
-			lb = est + s.pr.blFast[id]
-		}
-	}
-	if lb >= s.bestMk-pruneEps {
+	if s.boundPrunes(maxFinish) {
 		return
 	}
 
+	// Every placement below starts from this node's state (each child is
+	// undone before the next), so one earliest-free scan per class serves
+	// all of them.
+	nc := len(s.pr.classes)
+	free := s.free[depth*nc : (depth+1)*nc]
+	for ci := range free {
+		free[ci].w, free[ci].at = s.earliestFree(ci)
+	}
 	cands := s.selectCands(depth)
-	hop := s.pr.opt.CommHopSec
 	for _, id := range cands {
-		t := s.pr.d.Tasks[id]
-		df0 := 0.0
-		if hop > 0 {
-			s.depsPrep(depth, id)
-		} else {
-			df0 = s.depsFinish(id)
-		}
-		for _, ci := range s.pr.classOrder[s.pr.taskGroup[id]] {
-			exec := s.pr.classExec[ci][s.pr.taskGroup[id]]
-			if math.IsInf(exec, 1) {
-				break // classOrder sorts unsupported classes last
-			}
-			df := df0
-			if hop > 0 {
-				df = s.depsOn(depth, ci)
-			}
-			w, wf := s.earliestFree(ci)
+		for _, pl := range s.pr.placements[s.pr.taskGroup[id]] {
+			ci, exec := pl.ci, pl.exec
+			df := s.readyOn(id, ci)
+			w, wf := free[ci].w, free[ci].at
 			start := wf
 			if df > start {
 				start = df
@@ -449,15 +488,8 @@ func (s *solver) dfs(depth int, maxFinish float64) {
 			// Commit.
 			s.worker[id] = w
 			s.finish[id] = end
-			prevFree := s.workerFree[w]
 			s.workerFree[w] = end
-			s.removeReady(id)
-			for _, succ := range t.Succ {
-				s.indeg[succ]--
-				if s.indeg[succ] == 0 {
-					s.ready = append(s.ready, succ)
-				}
-			}
+			s.commit(id)
 
 			mf := maxFinish
 			if end > mf {
@@ -465,16 +497,8 @@ func (s *solver) dfs(depth int, maxFinish float64) {
 			}
 			s.dfs(depth+1, mf)
 
-			// Undo. A successor whose indeg is still 0 was woken by this
-			// commit and leaves the ready set again.
-			for _, succ := range t.Succ {
-				if s.indeg[succ] == 0 {
-					s.removeReady(succ)
-				}
-				s.indeg[succ]++
-			}
-			s.ready = append(s.ready, id)
-			s.workerFree[w] = prevFree
+			s.uncommit(id)
+			s.workerFree[w] = wf
 			s.finish[id] = -1
 			s.worker[id] = -1
 
@@ -485,40 +509,134 @@ func (s *solver) dfs(depth int, maxFinish float64) {
 	}
 }
 
-// selectCands writes the top-Beam ready tasks by (bottom level desc, then
-// ID) into the depth's reusable candidate buffer — an insertion sort over a
-// bounded prefix, replacing the per-node slice copy + sort.Slice closure the
-// serial solver used.
+// boundPrunes reports whether the node's makespan lower bound — the latest
+// committed finish, or a ready task's dependency-ready time plus its
+// critical path if later — cannot beat the incumbent. The max reaches the
+// threshold exactly when one of its terms does, which over tracks for the
+// ready tasks.
+//
+//chol:hotpath
+func (s *solver) boundPrunes(maxFinish float64) bool {
+	return maxFinish >= s.bestMk-pruneEps || s.over > 0
+}
+
+// addReady and dropReady insert and remove the task of rank r, keeping
+// nReady and over in step with the bitset.
+//
+//chol:hotpath
+func (s *solver) addReady(r int32) {
+	s.ready[r>>6] |= 1 << (r & 63)
+	s.nReady++
+	if s.bound[r] >= s.bestMk-pruneEps {
+		s.over++
+	}
+}
+
+//chol:hotpath
+func (s *solver) dropReady(r int32) {
+	s.ready[r>>6] &^= 1 << (r & 63)
+	s.nReady--
+	if s.bound[r] >= s.bestMk-pruneEps {
+		s.over--
+	}
+}
+
+// selectCands writes the top-Beam ready tasks in branch-priority order
+// (bottom level desc, then ID) into the depth's reusable candidate buffer:
+// the ready bitset is indexed by that rank, so they are its first Beam set
+// bits.
 //
 //chol:hotpath
 func (s *solver) selectCands(depth int) []int {
 	beam := s.pr.opt.Beam
-	out := s.cands[depth][:0]
-	for _, id := range s.ready {
-		if len(out) == beam && !s.candBefore(id, out[beam-1]) {
-			continue
-		}
-		out = append(out, id)
-		for j := len(out) - 1; j > 0 && s.candBefore(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-		if len(out) > beam {
-			out = out[:beam]
+	out := s.cands[depth*beam : depth*beam : (depth+1)*beam]
+	for wi, word := range s.ready {
+		for ; word != 0; word &= word - 1 {
+			if len(out) == beam {
+				return out
+			}
+			out = append(out, int(s.pr.byRank[wi<<6|bits.TrailingZeros64(word)]))
 		}
 	}
 	return out
 }
 
-// candBefore is the branch-priority total order: higher bottom level first,
-// ties broken by task ID.
+// wake adds task id, whose last predecessor just committed, to the ready
+// set and fixes its dependency-ready times.
 //
 //chol:hotpath
-func (s *solver) candBefore(a, b int) bool {
-	// Tie-break on the exact stored bottom levels, then task ID.
-	if s.pr.blFast[a] != s.pr.blFast[b] { //chollint:floateq
-		return s.pr.blFast[a] > s.pr.blFast[b]
+func (s *solver) wake(id int) {
+	m := 0.0
+	for _, p := range s.pr.d.Tasks[id].Pred {
+		if s.finish[p] > m {
+			m = s.finish[p]
+		}
 	}
-	return a < b
+	s.readyAt[id] = m
+	r := s.pr.rank[id]
+	s.bound[r] = m + s.pr.blFast[id]
+	s.addReady(r)
+	if s.readyOnClass != nil {
+		s.wakeComm(id)
+	}
+}
+
+// wakeComm fixes task id's per-class ready times under the comm model: the
+// latest predecessor finish on class ci itself, or one PCI hop after the
+// latest on any other class. Finishes are strictly positive, so a zero
+// predMax entry means "no predecessor on that class".
+//
+//chol:hotpath
+func (s *solver) wakeComm(id int) {
+	pm := s.predMax
+	clear(pm)
+	for _, p := range s.pr.d.Tasks[id].Pred {
+		if f, ci := s.finish[p], s.pr.workerCi[s.worker[p]]; f > pm[ci] {
+			pm[ci] = f
+		}
+	}
+	hop := s.pr.opt.CommHopSec
+	nc := len(pm)
+	row := s.readyOnClass[id*nc : (id+1)*nc]
+	for ci := range row {
+		m := pm[ci]
+		for c, f := range pm {
+			if c != ci && f > 0 && f+hop > m {
+				m = f + hop
+			}
+		}
+		row[ci] = m
+	}
+}
+
+// commit takes the just-placed task id out of the ready set and wakes the
+// successors it was the last predecessor of.
+//
+//chol:hotpath
+func (s *solver) commit(id int) {
+	s.dropReady(s.pr.rank[id])
+	for _, succ := range s.pr.d.Tasks[id].Succ {
+		s.indeg[succ]--
+		if s.indeg[succ] == 0 {
+			s.wake(succ)
+		}
+	}
+}
+
+// uncommit is commit's exact inverse: successors whose indeg is still 0 were
+// woken by id and leave the ready set, and id rejoins it with its readyAt
+// unchanged (its predecessors are still committed). The caller restores id's
+// worker, finish and workerFree entries.
+//
+//chol:hotpath
+func (s *solver) uncommit(id int) {
+	for _, succ := range s.pr.d.Tasks[id].Succ {
+		if s.indeg[succ] == 0 {
+			s.dropReady(s.pr.rank[succ])
+		}
+		s.indeg[succ]++
+	}
+	s.addReady(s.pr.rank[id])
 }
 
 // tailAfter returns the critical path length strictly below task id (its
@@ -529,82 +647,15 @@ func (s *solver) tailAfter(id int) float64 {
 	return s.pr.tail[id]
 }
 
-//chol:hotpath
-func (s *solver) depsFinish(id int) float64 {
-	m := 0.0
-	for _, pr := range s.pr.d.Tasks[id].Pred {
-		if s.finish[pr] > m {
-			m = s.finish[pr]
-		}
-	}
-	return m
-}
-
-// depsPrep memoizes, for one candidate at one depth, the maximum predecessor
-// finish per resource class. depsOn then answers the per-class earliest
-// start in O(classes) instead of re-walking the predecessor list per class.
-// The memo is valid for the whole class loop because committed finishes are
-// immutable while the candidate's placements are enumerated.
+// readyOn is ready task id's earliest dependency-ready time on internal
+// class ci, as fixed at wake-up.
 //
 //chol:hotpath
-func (s *solver) depsPrep(depth, id int) {
-	row := s.depsIn[depth]
-	for c := range row {
-		row[c] = 0
+func (s *solver) readyOn(id, ci int) float64 {
+	if s.readyOnClass == nil {
+		return s.readyAt[id]
 	}
-	for _, pr := range s.pr.d.Tasks[id].Pred {
-		ci := s.pr.workerCi[s.worker[pr]]
-		if s.finish[pr] > row[ci] {
-			row[ci] = s.finish[pr]
-		}
-	}
-}
-
-// depsOn is the memoized depsFinishOn: the earliest dependency-ready time on
-// internal class ci, charging one PCI hop to class-crossing dependencies.
-// Finishes are strictly positive, so zero rows mean "no predecessor there".
-//
-//chol:hotpath
-func (s *solver) depsOn(depth, ci int) float64 {
-	hop := s.pr.opt.CommHopSec
-	row := s.depsIn[depth]
-	m := row[ci]
-	for c, f := range row {
-		if c != ci && f > 0 && f+hop > m {
-			m = f + hop
-		}
-	}
-	return m
-}
-
-// depsFinishOn is the unmemoized per-class earliest start, used off the hot
-// path (path replay and the split phase).
-func (s *solver) depsFinishOn(id, ci int) float64 {
-	if s.pr.opt.CommHopSec == 0 {
-		return s.depsFinish(id)
-	}
-	m := 0.0
-	for _, pr := range s.pr.d.Tasks[id].Pred {
-		f := s.finish[pr]
-		if s.pr.workerCi[s.worker[pr]] != ci {
-			f += s.pr.opt.CommHopSec
-		}
-		if f > m {
-			m = f
-		}
-	}
-	return m
-}
-
-//chol:hotpath
-func (s *solver) removeReady(id int) {
-	for i, v := range s.ready {
-		if v == id {
-			s.ready[i] = s.ready[len(s.ready)-1]
-			s.ready = s.ready[:len(s.ready)-1]
-			return
-		}
-	}
+	return s.readyOnClass[id*len(s.pr.classes)+ci]
 }
 
 // replay evaluates a static schedule in the published CP model (no

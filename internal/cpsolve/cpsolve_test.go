@@ -1,6 +1,7 @@
 package cpsolve
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -256,6 +257,35 @@ func TestSolveLUAndQRDAGs(t *testing.T) {
 		}
 		if r.Makespan < m.MakespanSec-1e-9 {
 			t.Fatalf("%s: CP %g below mixed bound %g", d.Algorithm, r.Makespan, m.MakespanSec)
+		}
+	}
+}
+
+// TestNodeExpansionAllocFree pins the hot path's allocation contract: once a
+// solver is built, a whole budget-bound dfs — every node's bound test,
+// candidate selection, placements, commits and undos — allocates nothing,
+// under both comm models.
+func TestNodeExpansionAllocFree(t *testing.T) {
+	d := graph.Cholesky(6)
+	p := platform.Mirage()
+	bl, err := d.BottomLevels(func(t *graph.Task) float64 { return p.FastestTimeNB(t.Kind, t.NB) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 5000
+	for _, hop := range []float64{0, 5e-4} {
+		sv := newSolver(newProb(d, p, Options{NodeBudget: budget, Beam: 3, CommHopSec: hop}, bl), context.Background())
+		allocs := testing.AllocsPerRun(3, func() {
+			sv.bestMk = math.Inf(1)
+			sv.reset()
+			sv.nodes, sv.budget, sv.cut = 0, budget, false
+			sv.dfs(0, 0)
+		})
+		if sv.nodes != budget {
+			t.Fatalf("hop=%g: explored %d nodes, want the full budget %d", hop, sv.nodes, budget)
+		}
+		if allocs != 0 {
+			t.Fatalf("hop=%g: dfs allocated %.1f times per run", hop, allocs)
 		}
 	}
 }

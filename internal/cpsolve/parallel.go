@@ -178,9 +178,9 @@ type runResult struct {
 // against the incumbent snapshot (as bits). The solver is reusable state;
 // the run is a pure function of (prob, path, budget, snapshot).
 func runSubtree(sv *solver, st subtree, budget int, snapshot uint64) runResult {
+	sv.bestMk = math.Float64frombits(snapshot)
 	sv.reset()
 	mf := sv.replayPath(st.path)
-	sv.bestMk = math.Float64frombits(snapshot)
 	sv.improved = false
 	sv.nodes = 0
 	sv.budget = budget
@@ -227,39 +227,30 @@ func (s *solver) split(g *incumbent) *splitState {
 		}
 		st := queue[qHead]
 		qHead++
+		s.bestMk = g.mk
 		s.reset()
 		mf := s.replayPath(st.path)
-		if len(s.ready) == 0 {
+		if s.nReady == 0 {
 			if mf < g.mk {
 				g.commitSolution(s.pr, s.worker, s.finish, mf)
 			}
 			continue
 		}
-		lb := mf
-		for _, id := range s.ready {
-			est := s.depsFinish(id)
-			if est+s.pr.blFast[id] > lb {
-				lb = est + s.pr.blFast[id]
-			}
-		}
-		if lb >= g.mk-pruneEps {
+		if s.boundPrunes(mf) {
 			continue
 		}
 		cands := s.selectCands(0)
 		for _, id := range cands {
-			for _, ci := range s.pr.classOrder[s.pr.taskGroup[id]] {
-				exec := s.pr.classExec[ci][s.pr.taskGroup[id]]
-				if math.IsInf(exec, 1) {
-					break
-				}
-				df := s.depsFinishOn(id, ci)
+			for _, pl := range s.pr.placements[s.pr.taskGroup[id]] {
+				ci, exec := pl.ci, pl.exec
+				df := s.readyOn(id, ci)
 				_, wf := s.earliestFree(ci)
 				start := wf
 				if df > start {
 					start = df
 				}
 				end := start + exec
-				if end+s.tailAfter(id) >= g.mk-pruneEps {
+				if end+s.tailAfter(id) >= s.bestMk-pruneEps {
 					continue
 				}
 				child := subtree{path: make([]step, len(st.path)+1)}

@@ -29,9 +29,10 @@ func (s *StaticSchedule) Validate(d *graph.DAG, p *platform.Platform) error {
 		if w < 0 || w >= p.Workers() {
 			return fmt.Errorf("sched: task %d on invalid worker %d", id, w)
 		}
-		if math.IsInf(p.Time(p.WorkerClass(w), d.Tasks[id].Kind), 1) {
+		t := d.Tasks[id]
+		if math.IsInf(p.TimeNB(p.WorkerClass(w), t.Kind, t.NB), 1) {
 			return fmt.Errorf("sched: task %d kind %v unrunnable on worker %d",
-				id, d.Tasks[id].Kind, w)
+				id, t.Kind, w)
 		}
 	}
 	return nil
