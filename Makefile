@@ -27,7 +27,7 @@ bench:
 # Full pinned benchmark suite (see "Benchmarking & perf trajectory" in
 # README.md). Compare against a previous PR's file with -baseline-from.
 bench-pinned:
-	go run ./cmd/cholbench -out BENCH_PR15.json -baseline-from BENCH_PR14.json
+	go run ./cmd/cholbench -out BENCH_PR16.json -baseline-from BENCH_PR15.json
 
 # Repository benchmark (BENCHMARK.json, perfbench/): one workload, built
 # offline into .bench_build/; the last stdout line is the JSON result.

@@ -14,6 +14,8 @@
 //     interval (sim-probed/*), pinning the frame-emission overhead against
 //     the nil-probe fast path — with bit-identical schedule digests enforced
 //     probe-on versus probe-off;
+//   - the DAG build alone (graph/build/P=96): graph.Cholesky's
+//     dependency inference, pinning its allocs/op at a small constant;
 //   - cold simulation prep (prep/cold/*): a fresh DAG per iteration through
 //     graph.Cholesky → simulator.Prepare → dmdas Init at P ∈ {64, 128}, so
 //     the once-per-DAG census is measured, not amortized away;
@@ -102,7 +104,7 @@ func fullBoundCases() []boundCase {
 
 func main() {
 	smoke := flag.Bool("smoke", false, "reduced <60s suite: run, sanity-check, write nothing")
-	out := flag.String("out", "BENCH_PR15.json", "output JSON path")
+	out := flag.String("out", "BENCH_PR16.json", "output JSON path")
 	baselineFrom := flag.String("baseline-from", "", "previous suite JSON whose results become this run's embedded baseline")
 	note := flag.String("note", "", "free-form note stored in the suite")
 	gobench := flag.Bool("gobench", false, "also print results in Go benchmark text format (for benchstat)")
@@ -211,6 +213,23 @@ func main() {
 		r = r.WithMetric("sim_gflops", last.GFlops(flops)).
 			WithMetric("tasks_per_sec", float64(len(d.Tasks))/(r.NsPerOp/1e9))
 		simNs[r.Name] = r.NsPerOp
+		suite.Add(r)
+		progress(r)
+	}
+
+	// DAG build alone: graph.Cholesky at the cold chain's size. The builder
+	// carves tasks, footprints and edge lists from presized slabs, so
+	// allocs/op is a small constant, not a per-task count.
+	{
+		iters := 5
+		if *smoke {
+			iters = 1
+		}
+		var tasks int
+		r := benchio.Measure("graph/build/P=96", iters, func() {
+			tasks = len(graph.Cholesky(96).Tasks)
+		})
+		r = r.WithMetric("tasks_per_sec", float64(tasks)/(r.NsPerOp/1e9))
 		suite.Add(r)
 		progress(r)
 	}

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -425,6 +427,24 @@ func TestFig3RealSmall(t *testing.T) {
 				t.Fatalf("%s[%d] = %g", s.Name, i, v)
 			}
 		}
+	}
+}
+
+// TestFig3RealTitleResolvesDefaultWorkers: the default RealWorkers = 0 runs
+// GOMAXPROCS workers, and the title says how many.
+func TestFig3RealTitleResolvesDefaultWorkers(t *testing.T) {
+	cfg := quickCfg()
+	cfg.RealWorkers = 0
+	cfg.RealSizes = []int{2}
+	cfg.RealNB = 8
+	cfg.Runs = 1
+	tbl, err := Fig3Real(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("— %d workers, nb=8", runtime.GOMAXPROCS(0))
+	if !strings.Contains(tbl.Title, want) {
+		t.Fatalf("title %q, want it to contain %q", tbl.Title, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	stdruntime "runtime"
 
 	"repro/internal/kernels"
 	"repro/internal/matrix"
@@ -18,11 +19,15 @@ import (
 // Pure-Go kernels are 1–2 orders of magnitude slower than MKL, so the
 // default configuration uses smaller tiles (cfg.RealNB) — absolute GFLOP/s
 // are host-scale, only the *shape* (random ≪ fifo ≈ priority) maps to the
-// paper.
+// paper. RealWorkers ≤ 0 means GOMAXPROCS workers.
 func Fig3Real(cfg Config) (*stats.Table, error) {
+	workers := cfg.RealWorkers
+	if workers <= 0 {
+		workers = stdruntime.GOMAXPROCS(0)
+	}
 	tbl := &stats.Table{
 		Title: fmt.Sprintf("Figure 3 (real execution) — %d workers, nb=%d",
-			cfg.RealWorkers, cfg.RealNB),
+			workers, cfg.RealNB),
 		XLabel: "tiles",
 		YLabel: "GFLOP/s",
 		Xs:     xs(cfg.RealSizes),
@@ -40,7 +45,7 @@ func Fig3Real(cfg Config) (*stats.Table, error) {
 					return 0, err
 				}
 				r, err := runtime.Factor(tl, runtime.Options{
-					Workers: cfg.RealWorkers, Policy: pol, Seed: seed,
+					Workers: workers, Policy: pol, Seed: seed,
 				})
 				if err != nil {
 					return 0, err

@@ -13,8 +13,12 @@ func BandedCholesky(p, bw int) *DAG {
 	if bw < 0 {
 		bw = 0
 	}
-	b := newBuilder("cholesky", p)
-	b.dag.Algorithm = "cholesky" // the diagonal-chain bound applies unchanged
+	n := 0 // step k issues one POTRF, w TRSM and SYRK and w(w−1)/2 GEMM, w = min(bw, p−1−k)
+	for k := 0; k < p; k++ {
+		w := min(bw, p-1-k)
+		n += 1 + 2*w + w*(w-1)/2
+	}
+	b := newBuilder("cholesky", p, n, p, 0) // the diagonal-chain bound applies unchanged
 	for k := 0; k < p; k++ {
 		b.task(POTRF, -1, -1, k, TileRef{k, k, ReadWrite})
 		for i := k + 1; i < p && i-k <= bw; i++ {

@@ -118,15 +118,15 @@ func TestCensusConcurrentFirstUse(t *testing.T) {
 	// -race they must all see one census.
 	const n = 8
 	want := struct {
-		order []int
-		bl    []float64
-		kinds []Kind
-		nbs   []int
+		order  []int
+		bl     []float64
+		kinds  []Kind
+		groups []Group
 	}{}
 	ref := CholeskySplit(10, 6, 2, 960)
 	want.order, _ = ref.TopoOrder()
 	want.bl, _ = ref.BottomLevels(func(t *Task) float64 { return float64(t.Kind) + 1 })
-	want.kinds, want.nbs = ref.Kinds(), ref.NBs()
+	want.kinds, want.groups = ref.Kinds(), ref.Groups()
 
 	d := CholeskySplit(10, 6, 2, 960)
 	var wg sync.WaitGroup
@@ -150,7 +150,7 @@ func TestCensusConcurrentFirstUse(t *testing.T) {
 				return
 			}
 			if !reflect.DeepEqual(order, want.order) || !reflect.DeepEqual(bl, want.bl) ||
-				!reflect.DeepEqual(d.Kinds(), want.kinds) || !reflect.DeepEqual(d.NBs(), want.nbs) {
+				!reflect.DeepEqual(d.Kinds(), want.kinds) || !reflect.DeepEqual(d.Groups(), want.groups) {
 				errs <- fmt.Errorf("concurrent census query disagrees with a fresh DAG's")
 			}
 		}()

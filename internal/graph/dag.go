@@ -127,9 +127,9 @@ func (t *Task) Name() string {
 // DAG is a task graph over a P×P tiled matrix.
 //
 // A DAG is frozen once any census query has run. Validate, TopoOrder,
-// BottomLevels, CriticalPath, ComputeStats, Kinds, CountByKind, NBs and
-// Groups all read one census — topological order, validation result, kind,
-// tile-size and (kind, nb) group counts — derived from Tasks exactly once,
+// BottomLevels, CriticalPath, ComputeStats, Kinds, CountByKind and Groups
+// all read one census — topological order, validation result, kind and
+// (kind, nb) group counts — derived from Tasks exactly once,
 // on the first such call, and shared by every later caller (concurrent ones
 // included). Builders therefore finish wiring Tasks before the first query;
 // code that wants a different graph mutates a fresh DAG, never one that has
@@ -163,7 +163,6 @@ type census struct {
 	order  []int        // topological order, smallest ready ID first
 	kinds  []Kind       // distinct kinds, ascending
 	counts map[Kind]int // tasks per kind
-	nbs    []int        // distinct Task.NB values, ascending
 	groups []Group      // (kind, nb) populations, ordered by nb then kind
 }
 
@@ -199,9 +198,6 @@ func (d *DAG) takeCensus() {
 			c.kinds = append(c.kinds, g.Kind)
 		}
 		c.counts[g.Kind] += g.Count
-		if n := len(c.nbs); n == 0 || c.nbs[n-1] != g.NB {
-			c.nbs = append(c.nbs, g.NB)
-		}
 	}
 	sort.Slice(c.kinds, func(i, j int) bool { return c.kinds[i] < c.kinds[j] })
 	if c.err = d.checkStructure(); c.err == nil {
@@ -235,13 +231,6 @@ func (d *DAG) CountByKind() map[Kind]int {
 	return c
 }
 
-// NBs returns the distinct Task.NB values present, in ascending order. A
-// uniform DAG yields [0]; mixed-tile DAGs yield the sizes the cost model must
-// price.
-func (d *DAG) NBs() []int {
-	return append([]int(nil), d.facts().nbs...)
-}
-
 // Groups returns the (kind, nb) task populations present, ordered by tile
 // size first (nb = 0 leading) then kind. A uniform DAG yields one group per
 // entry of Kinds, in the same order.
@@ -256,17 +245,6 @@ func (d *DAG) TileSize(i, j int) int {
 		return 0
 	}
 	return d.TileNB[[2]int{i, j}]
-}
-
-// Roots returns the IDs of tasks with no predecessors.
-func (d *DAG) Roots() []int {
-	var r []int
-	for _, t := range d.Tasks {
-		if len(t.Pred) == 0 {
-			r = append(r, t.ID)
-		}
-	}
-	return r
 }
 
 // TopoOrder returns a topological order of task IDs (Kahn's algorithm,
@@ -286,8 +264,12 @@ func (d *DAG) Validate() error {
 	return d.facts().err
 }
 
-// checkStructure is Validate minus acyclicity.
+// checkStructure is Validate minus acyclicity, in O(V+E): Pred is
+// transposed by counting sort, and each task's Succ list is compared with
+// the tasks whose Pred lists name it as a multiset, through per-task stamps.
 func (d *DAG) checkStructure() error {
+	n := len(d.Tasks)
+	off := make([]int32, n+1) // off[p+1] counts the Pred entries naming p, then prefix-sums into offsets
 	for i, t := range d.Tasks {
 		if t.ID != i {
 			return fmt.Errorf("graph: task at index %d has ID %d", i, t.ID)
@@ -296,29 +278,99 @@ func (d *DAG) checkStructure() error {
 			if s == t.ID {
 				return fmt.Errorf("graph: self-loop on task %d", t.ID)
 			}
-			if s < 0 || s >= len(d.Tasks) {
+			if s < 0 || s >= n {
 				return fmt.Errorf("graph: dangling successor %d of task %d", s, t.ID)
-			}
-			if !contains(d.Tasks[s].Pred, t.ID) {
-				return fmt.Errorf("graph: edge %d→%d missing reverse link", t.ID, s)
 			}
 		}
 		for _, p := range t.Pred {
-			if p < 0 || p >= len(d.Tasks) {
+			if p < 0 || p >= n {
 				return fmt.Errorf("graph: dangling predecessor %d of task %d", p, t.ID)
 			}
-			if !contains(d.Tasks[p].Succ, t.ID) {
-				return fmt.Errorf("graph: edge %d→%d missing forward link", p, t.ID)
+			off[p+1]++
+		}
+	}
+	for p := range n {
+		off[p+1] += off[p]
+	}
+	predOf := make([]int32, off[n]) // predOf[off[p]:off[p+1]]: the tasks whose Pred names p
+	fill := make([]int32, n)
+	copy(fill, off)
+	for _, t := range d.Tasks {
+		for _, p := range t.Pred {
+			predOf[fill[p]] = int32(t.ID)
+			fill[p]++
+		}
+	}
+	// Per task p, bal[s] counts s in p's Succ minus p in s's Pred; stamp[s]
+	// marks bal[s] as belonging to p, so nothing is cleared between tasks.
+	// bal reuses fill's storage, which the transpose no longer needs.
+	bal, stamp := fill, make([]int32, n)
+	for p, t := range d.Tasks {
+		mark := int32(p + 1)
+		for _, s := range t.Succ {
+			if stamp[s] != mark {
+				stamp[s], bal[s] = mark, 0
+			}
+			bal[s]++
+		}
+		in := predOf[off[p]:off[p+1]]
+		for _, s := range in {
+			if stamp[s] != mark {
+				stamp[s], bal[s] = mark, 0
+			}
+			bal[s]--
+		}
+		for _, s := range t.Succ {
+			if bal[s] != 0 {
+				return d.edgeError(p, s)
+			}
+		}
+		for _, s := range in {
+			if bal[s] != 0 {
+				return d.edgeError(p, int(s))
 			}
 		}
 	}
 	return nil
 }
 
+// edgeError describes how edge p→s is listed asymmetrically.
+func (d *DAG) edgeError(p, s int) error {
+	inSucc, inPred := count(d.Tasks[p].Succ, s), count(d.Tasks[s].Pred, p)
+	switch {
+	case inPred == 0:
+		return fmt.Errorf("graph: edge %d→%d missing reverse link", p, s)
+	case inSucc == 0:
+		return fmt.Errorf("graph: edge %d→%d missing forward link", p, s)
+	}
+	return fmt.Errorf("graph: edge %d→%d listed %d times in Succ of %d but %d times in Pred of %d", p, s, inSucc, p, inPred, s)
+}
+
+func count(s []int, v int) int {
+	c := 0
+	for _, x := range s {
+		if x == v {
+			c++
+		}
+	}
+	return c
+}
+
 // kahn orders a structurally valid DAG by Kahn's algorithm, always taking
-// the smallest ready ID next from a binary min-heap frontier.
+// the smallest ready ID next. When every edge runs from a smaller to a
+// larger ID — every builder, Merge and RandomLayered — that order is the
+// identity: once IDs 0…k−1 are ordered, task k's predecessors all are, so
+// it is ready and the smallest unordered ID. Other DAGs pop a binary
+// min-heap frontier, which also detects cycles.
 func (d *DAG) kahn() ([]int, error) {
 	n := len(d.Tasks)
+	order := make([]int, 0, n)
+	if d.forwardEdges() {
+		for id := range n {
+			order = append(order, id)
+		}
+		return order, nil
+	}
 	indeg := make([]int32, n)
 	var ready minHeap
 	for id, t := range d.Tasks {
@@ -327,7 +379,6 @@ func (d *DAG) kahn() ([]int, error) {
 			ready.push(id)
 		}
 	}
-	order := make([]int, 0, n)
 	for len(ready) > 0 {
 		id := ready.pop()
 		order = append(order, id)
@@ -342,6 +393,18 @@ func (d *DAG) kahn() ([]int, error) {
 		return nil, fmt.Errorf("graph: cycle detected (%d of %d tasks ordered)", len(order), n)
 	}
 	return order, nil
+}
+
+// forwardEdges reports whether every edge runs from a smaller to a larger ID.
+func (d *DAG) forwardEdges() bool {
+	for id, t := range d.Tasks {
+		for _, s := range t.Succ {
+			if s <= id {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // minHeap is a binary min-heap of task IDs.
@@ -381,15 +444,6 @@ func (h *minHeap) pop() int {
 	}
 	*h = s
 	return top
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // BottomLevels returns, for each task, the weight of the longest path from

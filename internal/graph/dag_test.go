@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -42,7 +43,7 @@ func TestCholeskyValid(t *testing.T) {
 
 func TestCholeskySingleRootAndExit(t *testing.T) {
 	d := Cholesky(6)
-	roots := d.Roots()
+	roots := rootsOf(d)
 	if len(roots) != 1 || d.Tasks[roots[0]].Kind != POTRF || d.Tasks[roots[0]].K != 0 {
 		t.Fatalf("expected single root POTRF_0, got %v", roots)
 	}
@@ -55,6 +56,17 @@ func TestCholeskySingleRootAndExit(t *testing.T) {
 	if len(exits) != 1 || d.Tasks[exits[0]].Kind != POTRF || d.Tasks[exits[0]].K != 5 {
 		t.Fatalf("expected single exit POTRF_5, got %v", exits)
 	}
+}
+
+// rootsOf returns the IDs of d's tasks without predecessors.
+func rootsOf(d *DAG) []int {
+	var r []int
+	for _, t := range d.Tasks {
+		if len(t.Pred) == 0 {
+			r = append(r, t.ID)
+		}
+	}
+	return r
 }
 
 func TestCholeskyPotrfChainIsPath(t *testing.T) {
@@ -110,7 +122,7 @@ func TestCholeskyKnownDependencies(t *testing.T) {
 		if a == nil || b == nil {
 			t.Fatalf("missing task %s or %s", from, to)
 		}
-		return contains(a.Succ, b.ID)
+		return slices.Contains(a.Succ, b.ID)
 	}
 	for _, e := range [][2]string{
 		{"POTRF_0", "TRSM_1_0"},
@@ -194,6 +206,50 @@ func TestValidateCatchesAsymmetry(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsMalformed: every structural defect is a Validate error
+// naming the offending task or edge, and TopoOrder returns the same error.
+// An edge listed more often on one side than the other is a defect even
+// when both sides name it.
+func TestValidateRejectsMalformed(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		tasks []*Task
+		want  string
+	}{
+		{"id mismatch", []*Task{{ID: 1}}, "task at index 0 has ID 1"},
+		{"self-loop", []*Task{{ID: 0, Succ: []int{0}, Pred: []int{0}}}, "self-loop on task 0"},
+		{"dangling successor", []*Task{{ID: 0, Succ: []int{3}}}, "dangling successor 3 of task 0"},
+		{"dangling predecessor", []*Task{{ID: 0, Pred: []int{-1}}}, "dangling predecessor -1 of task 0"},
+		{"missing reverse link", []*Task{{ID: 0, Succ: []int{1}}, {ID: 1}}, "edge 0→1 missing reverse link"},
+		{"missing forward link", []*Task{{ID: 0}, {ID: 1, Pred: []int{0}}}, "edge 0→1 missing forward link"},
+		{"duplicate successor", []*Task{{ID: 0, Succ: []int{1, 1}}, {ID: 1, Pred: []int{0}}},
+			"edge 0→1 listed 2 times in Succ of 0 but 1 times in Pred of 1"},
+		{"duplicate predecessor", []*Task{{ID: 0, Succ: []int{1}}, {ID: 1, Pred: []int{0, 0}}},
+			"edge 0→1 listed 1 times in Succ of 0 but 2 times in Pred of 1"},
+		{"cycle", []*Task{{ID: 0, Succ: []int{1}, Pred: []int{1}}, {ID: 1, Succ: []int{0}, Pred: []int{0}}},
+			"cycle detected (0 of 2 tasks ordered)"},
+	} {
+		d := &DAG{Tasks: c.tasks}
+		err := d.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.want)
+		}
+		if _, terr := d.TopoOrder(); terr != err {
+			t.Errorf("%s: TopoOrder error %v, want Validate's %v", c.name, terr, err)
+		}
+	}
+}
+
+// TestValidateAcceptsSymmetricMultiEdge: an edge listed equally often on
+// both sides is consistent, and the order still respects it.
+func TestValidateAcceptsSymmetricMultiEdge(t *testing.T) {
+	d := &DAG{Tasks: []*Task{{ID: 0, Succ: []int{1, 1}}, {ID: 1, Pred: []int{0, 0}}}}
+	order, err := d.TopoOrder()
+	if err != nil || !slices.Equal(order, []int{0, 1}) {
+		t.Fatalf("TopoOrder = %v, %v; want [0 1], nil", order, err)
+	}
+}
+
 func TestBottomLevelsUnitWeights(t *testing.T) {
 	d := Cholesky(3)
 	bl, err := d.BottomLevels(func(*Task) float64 { return 1 })
@@ -256,7 +312,7 @@ func TestCriticalPathEdgesExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i+1 < len(path); i++ {
-		if !contains(d.Tasks[path[i]].Succ, path[i+1]) {
+		if !slices.Contains(d.Tasks[path[i]].Succ, path[i+1]) {
 			t.Fatalf("path step %d→%d is not an edge", path[i], path[i+1])
 		}
 	}
@@ -353,7 +409,7 @@ func TestQRTSQRTSerialization(t *testing.T) {
 	if a == nil || b == nil {
 		t.Fatal("missing TSQRT tasks")
 	}
-	if !contains(a.Succ, b.ID) {
+	if !slices.Contains(a.Succ, b.ID) {
 		t.Fatal("TSQRT_1_0 → TSQRT_2_0 edge missing")
 	}
 }
@@ -512,7 +568,7 @@ func TestMergeIndependentDAGs(t *testing.T) {
 		t.Fatalf("merged %d tasks, want %d", len(m.Tasks), len(a.Tasks)+len(b.Tasks))
 	}
 	// Two independent components: two roots.
-	if got := len(m.Roots()); got != 2 {
+	if got := len(rootsOf(m)); got != 2 {
 		t.Fatalf("%d roots, want 2", got)
 	}
 	// Footprints must not collide across batches.

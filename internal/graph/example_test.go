@@ -12,7 +12,11 @@ func ExampleCholesky() {
 	c := d.CountByKind()
 	fmt.Printf("tasks=%d POTRF=%d TRSM=%d SYRK=%d GEMM=%d\n",
 		len(d.Tasks), c[graph.POTRF], c[graph.TRSM], c[graph.SYRK], c[graph.GEMM])
-	fmt.Println("root:", d.Tasks[d.Roots()[0]].Name())
+	order, err := d.TopoOrder()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("root:", d.Tasks[order[0]].Name())
 	// Output:
 	// tasks=35 POTRF=5 TRSM=10 SYRK=10 GEMM=10
 	// root: POTRF_0

@@ -15,7 +15,7 @@ func vecChunk(k int) TileRef {
 // a p-tiled factor: TRSV_k solves the diagonal chunk, GEMV_{i,k} (i > k)
 // applies the update b_i ← b_i − L_ik·y_k.
 func ForwardSolve(p int) *DAG {
-	b := newBuilder("forward-solve", p)
+	b := newBuilder("forward-solve", p, p*(p+1)/2, p, -1)
 	for k := 0; k < p; k++ {
 		b.task(TRSV, -1, -1, k,
 			TileRef{k, k, Read},
@@ -34,7 +34,7 @@ func ForwardSolve(p int) *DAG {
 // Lᵀ·x = y: TRSV_k (k = p−1 … 0) solves chunk k against L_kkᵀ, and
 // GEMV_{i,k} (i < k) applies y_i ← y_i − L_kiᵀ·x_k.
 func BackwardSolve(p int) *DAG {
-	b := newBuilder("backward-solve", p)
+	b := newBuilder("backward-solve", p, p*(p+1)/2, p, -1)
 	for k := p - 1; k >= 0; k-- {
 		b.task(TRSV, -1, -1, k,
 			TileRef{k, k, Read},

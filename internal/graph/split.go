@@ -28,7 +28,11 @@ func CholeskySplit(p, fromK, factor, nb int) *DAG {
 	if factor == 1 {
 		fromK = p // splitting by 1 converts nothing
 	}
-	b := newBuilder("cholesky", p)
+	m := (p - fromK) * factor                 // fine grid side
+	conv := (p - fromK) * (p - fromK + 1) / 2 // SPLIT and MERGE tasks each
+	// The coarse panels issue the tasks of Cholesky(p) minus its trailing
+	// Cholesky(p−fromK); fine tiles live at coordinates [p, p+m).
+	b := newBuilder("cholesky", p, choleskyTasks(p)-choleskyTasks(p-fromK)+2*conv+choleskyTasks(m), p+m, 0)
 	nbFine := nb / factor
 
 	// Coarse right-looking panels, Algorithm 1 verbatim. Trailing updates for
@@ -59,16 +63,15 @@ func CholeskySplit(p, fromK, factor, nb int) *DAG {
 
 	// fine maps submatrix-relative fine indices to global tile coordinates.
 	fine := func(a int) int { return p + a }
-	m := (p - fromK) * factor // fine grid side
 	d := b.dag
 	d.TileNB = make(map[[2]int]int, m*(m+1)/2)
+	refs := make([]TileRef, 0, 1+factor*factor) // reused: task copies each footprint
 
 	// SPLIT: one conversion task per trailing coarse tile, reading the fully
 	// updated coarse tile and writing its lower-triangle-relevant subtiles.
 	for i := fromK; i < p; i++ {
 		for j := fromK; j <= i; j++ {
-			refs := make([]TileRef, 0, 1+factor*factor)
-			refs = append(refs, TileRef{i, j, Read})
+			refs = append(refs[:0], TileRef{i, j, Read})
 			for a := 0; a < factor; a++ {
 				for c := 0; c < factor; c++ {
 					gi := fine((i-fromK)*factor + a)
@@ -110,8 +113,7 @@ func CholeskySplit(p, fromK, factor, nb int) *DAG {
 	// MERGE: repack each coarse tile from its factored subtiles.
 	for i := fromK; i < p; i++ {
 		for j := fromK; j <= i; j++ {
-			refs := make([]TileRef, 0, 1+factor*factor)
-			refs = append(refs, TileRef{i, j, ReadWrite})
+			refs = append(refs[:0], TileRef{i, j, ReadWrite})
 			for a := 0; a < factor; a++ {
 				for c := 0; c < factor; c++ {
 					gi := fine((i-fromK)*factor + a)

@@ -55,9 +55,14 @@ func TestCholeskySplitStructure(t *testing.T) {
 		t.Fatalf("SPLIT=%d MERGE=%d, want %d each", counts[SPLIT], counts[MERGE], trailing)
 	}
 
-	nbs := d.NBs()
+	var nbs []int // distinct group sizes, in Groups' ascending-nb order
+	for _, g := range d.Groups() {
+		if len(nbs) == 0 || nbs[len(nbs)-1] != g.NB {
+			nbs = append(nbs, g.NB)
+		}
+	}
 	if len(nbs) != 2 || nbs[0] != nb/factor || nbs[1] != nb {
-		t.Fatalf("NBs() = %v, want [%d %d]", nbs, nb/factor, nb)
+		t.Fatalf("group sizes %v, want [%d %d]", nbs, nb/factor, nb)
 	}
 
 	fineNB := nb / factor
